@@ -54,9 +54,9 @@
 
 use gc::{GcConfig, GcCoordinator};
 use mheap::{Heap, MemTag, ObjId, ObjKind, Payload, RootSet, VerifyPoint};
+use panthera::cluster::{FaultPlan, FaultSpec};
 use panthera::obs::{Observer, RingBufferSink};
 use panthera::{MemoryMode, RecoveryPolicy, RunBuilder, SystemConfig, SIM_GB};
-use panthera_cluster::{FaultPlan, FaultSpec};
 use panthera_stream::{RetagPolicy, StreamBuilder, StreamSpec, WindowSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

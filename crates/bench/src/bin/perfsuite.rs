@@ -8,11 +8,8 @@
 //!
 //! * **new** — the current engine: `Rc`-shared payloads, fused narrow
 //!   chains, bitmap card scanning;
-//! * **legacy** — the pre-rework engine emulated faithfully:
-//!   stage-at-a-time narrow execution (`fuse_narrow: false`) plus a
-//!   structural deep copy at every record handoff
-//!   (`legacy_copies: true`), the cost profile of the seed's boxed
-//!   payloads.
+//! * **unfused** — stage-at-a-time narrow execution
+//!   (`fuse_narrow: false`).
 //!
 //! Both arms must report **bit-identical simulated results** (elapsed
 //! time, energy, GC counts) — the suite asserts this invariant and
@@ -262,7 +259,7 @@ fn run_arm(id: WorkloadId, ecfg: EngineConfig, scale: f64) -> RunReport {
 
 struct WorkloadRow {
     name: &'static str,
-    legacy_ns: u64,
+    unfused_ns: u64,
     new_ns: u64,
     speedup: f64,
     sim_elapsed_s: f64,
@@ -271,30 +268,29 @@ struct WorkloadRow {
 }
 
 fn bench_workload(id: WorkloadId, n: usize, scale: f64) -> WorkloadRow {
-    let legacy_cfg = EngineConfig {
+    let unfused_cfg = EngineConfig {
         fuse_narrow: false,
-        legacy_copies: true,
         ..EngineConfig::default()
     };
-    let (legacy_ns, legacy_rep) = median_host_ns(n, || run_arm(id, legacy_cfg.clone(), scale));
+    let (unfused_ns, unfused_rep) = median_host_ns(n, || run_arm(id, unfused_cfg.clone(), scale));
     let (new_ns, new_rep) = median_host_ns(n, || run_arm(id, EngineConfig::default(), scale));
-    // The invariant that makes the comparison meaningful: both engines
+    // The invariant that makes the comparison meaningful: both arms
     // simulate the same machine doing the same thing.
-    let sim_identical = legacy_rep.elapsed_s.to_bits() == new_rep.elapsed_s.to_bits()
-        && legacy_rep.energy_j().to_bits() == new_rep.energy_j().to_bits()
-        && legacy_rep.gc.minor_count == new_rep.gc.minor_count
-        && legacy_rep.gc.major_count == new_rep.gc.major_count
-        && legacy_rep.heap.allocated_bytes == new_rep.heap.allocated_bytes;
+    let sim_identical = unfused_rep.elapsed_s.to_bits() == new_rep.elapsed_s.to_bits()
+        && unfused_rep.energy_j().to_bits() == new_rep.energy_j().to_bits()
+        && unfused_rep.gc.minor_count == new_rep.gc.minor_count
+        && unfused_rep.gc.major_count == new_rep.gc.major_count
+        && unfused_rep.heap.allocated_bytes == new_rep.heap.allocated_bytes;
     assert!(
         sim_identical,
-        "{}: legacy and new engines diverged in simulated results",
+        "{}: unfused and fused engines diverged in simulated results",
         id.name()
     );
     WorkloadRow {
         name: id.name(),
-        legacy_ns,
+        unfused_ns,
         new_ns,
-        speedup: legacy_ns as f64 / new_ns.max(1) as f64,
+        speedup: unfused_ns as f64 / new_ns.max(1) as f64,
         sim_elapsed_s: new_rep.elapsed_s,
         sim_identical,
         report: new_rep,
@@ -1946,7 +1942,7 @@ fn main() {
     println!("perfsuite: {n} samples/arm, scale {scale}");
     println!(
         "{:<6} | {:>12} {:>12} {:>9} | {:>12} sim-identical",
-        "wl", "legacy ms", "new ms", "speedup", "sim elapsed"
+        "wl", "unfused ms", "new ms", "speedup", "sim elapsed"
     );
     println!("{}", "-".repeat(72));
 
@@ -1958,7 +1954,7 @@ fn main() {
         println!(
             "{:<6} | {:>12.2} {:>12.2} {:>8.2}x | {:>11.4}s {}",
             r.name,
-            r.legacy_ns as f64 / 1e6,
+            r.unfused_ns as f64 / 1e6,
             r.new_ns as f64 / 1e6,
             r.speedup,
             r.sim_elapsed_s,
@@ -2014,7 +2010,7 @@ fn main() {
                     .map(|r| {
                         Json::obj(vec![
                             ("id", Json::Str(r.name.into())),
-                            ("legacy_host_ns", Json::UInt(r.legacy_ns)),
+                            ("unfused_host_ns", Json::UInt(r.unfused_ns)),
                             ("new_host_ns", Json::UInt(r.new_ns)),
                             ("speedup", Json::Num(r.speedup)),
                             ("sim_elapsed_s", Json::Num(r.sim_elapsed_s)),

@@ -47,6 +47,7 @@ pub use panthera_recovery::{
 pub use pool::{ExecutorPool, PoolLease};
 
 use crate::error::RunError;
+use crate::simulate::{collect_report, engine_setup, instrumentation};
 use crate::{
     ConfigError, MemoryMode, PantheraRuntime, RecoveryPolicy, RecoveryStats, RunReport,
     SystemConfig,
@@ -54,7 +55,6 @@ use crate::{
 use hybridmem::DeviceSpec;
 use mheap::{Payload, WirePayload};
 use obs::{Event, EventSink, Observer};
-use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
 use sparklet::{
     ActionResult, CheckpointStore, ClusterCtx, ClusterError, DataRegistry, DepositJournal, Engine,
@@ -381,30 +381,17 @@ where
 pub(crate) fn run_cluster_inner<F>(
     build: F,
     config: &SystemConfig,
-    mut engine_config: EngineConfig,
+    engine_config: EngineConfig,
     host_threads: usize,
     plan: &FaultPlan,
 ) -> Result<ClusterOutcome, RunError>
 where
     F: Fn() -> (Program, FnTable, DataRegistry) + Sync,
 {
-    config.validate()?;
-    // Mirror the single-runtime driver: the system config is the single
-    // source of truth for data-movement costs, shuffle transport, and the
-    // off-heap region, on every executor.
-    engine_config.costs = config.costs;
-    engine_config.transport = config.transport;
-    engine_config.offheap_cache = config.offheap_cache;
-    engine_config.region_alloc = config.region_alloc;
-    let n_exec = config.executors;
     let (program, _, _) = build();
-    sparklang::validate(&program)
-        .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))?;
-    let instr_plan = if config.mode.is_semantic() {
-        analyze(&program).plan
-    } else {
-        InstrumentationPlan::default()
-    };
+    let engine_config = engine_setup(&program, config, engine_config)?;
+    let n_exec = config.executors;
+    let instr_plan = instrumentation(&program, config);
     let seed = CfgSeed::of(config);
     // Surface runtime-construction errors on the driver, not as a panic
     // inside a worker thread.
@@ -552,15 +539,8 @@ where
                         let mut engine =
                             Engine::with_cluster(runtime, fns, data, engine_config.clone(), ctx);
                         let outcome = engine.run(&program, instr_plan);
-                        let monitored = engine.runtime().monitored_calls();
-                        let mut report = RunReport::collect(
-                            &program.name,
-                            cfg.mode.label(),
-                            engine.runtime().heap(),
-                            engine.runtime().gc(),
-                            outcome.stats,
-                            monitored,
-                        );
+                        let mut report =
+                            collect_report(&program.name, cfg.mode.label(), &engine, outcome.stats);
                         report.recovery = slot.with(|c| RecoveryStats {
                             executor_crashes: c.executor_crashes,
                             messages_lost: c.messages_lost,

@@ -107,7 +107,7 @@ pub struct SystemConfig {
     /// Executors in the simulated cluster (DESIGN.md §8). Each executor
     /// gets its own private heap of `heap_bytes` and runs the partitions
     /// `i % executors` of every stage. `1` (the default) is the classic
-    /// single-JVM run; values above 1 require the `panthera-cluster`
+    /// single-JVM run; values above 1 require the [`crate::cluster`]
     /// driver, which the single-runtime entry points report as a
     /// [`ConfigError`].
     pub executors: u16,

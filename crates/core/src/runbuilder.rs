@@ -85,23 +85,9 @@ pub struct RunSummary {
     pub shared_region_bytes: u64,
 }
 
-/// Where the program, functions, and data come from.
-enum Source<'a> {
-    /// A one-shot triple: enough for exactly one single-runtime run.
-    Once {
-        program: &'a Program,
-        fns: FnTable,
-        data: DataRegistry,
-    },
-    /// A deterministic rebuild closure, callable once per executor
-    /// incarnation (multi-executor, fault injection, replay).
-    Rebuild(&'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)),
-}
-
-/// Where a dismantled [`RunBuilder`]'s program comes from — the public
-/// mirror of the builder's internal source, handed out by
-/// [`RunBuilder::into_parts`] so other drivers (the `panthera-jobs`
-/// service) can execute a configured run themselves.
+/// Where a [`RunBuilder`]'s program, functions, and data come from —
+/// handed out by [`RunBuilder::into_parts`] so other drivers (the
+/// `panthera-jobs` service) can execute a configured run themselves.
 pub enum RunSource<'a> {
     /// A one-shot triple: enough for exactly one single-runtime run.
     Once {
@@ -136,7 +122,7 @@ pub struct RunParts<'a> {
 /// Builder for one simulated run — single-runtime, multi-executor, or
 /// fault-injected (see the [module docs](self) for examples).
 pub struct RunBuilder<'a> {
-    source: Source<'a>,
+    source: RunSource<'a>,
     config: SystemConfig,
     engine: EngineConfig,
     host_threads: Option<usize>,
@@ -151,7 +137,7 @@ impl<'a> RunBuilder<'a> {
     /// faults) yields [`RunError::NeedsRebuild`] at [`run`](Self::run).
     pub fn new(program: &'a Program, fns: FnTable, data: DataRegistry) -> Self {
         RunBuilder {
-            source: Source::Once { program, fns, data },
+            source: RunSource::Once { program, fns, data },
             config: SystemConfig::paper_default(MemoryMode::Panthera),
             engine: EngineConfig::default(),
             host_threads: None,
@@ -166,7 +152,7 @@ impl<'a> RunBuilder<'a> {
     /// produce the identical program and data.
     pub fn from_build(build: &'a (dyn Fn() -> (Program, FnTable, DataRegistry) + Sync)) -> Self {
         RunBuilder {
-            source: Source::Rebuild(build),
+            source: RunSource::Rebuild(build),
             config: SystemConfig::paper_default(MemoryMode::Panthera),
             engine: EngineConfig::default(),
             host_threads: None,
@@ -181,10 +167,10 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Override the engine's execution knobs (fusion, legacy copies,
-    /// partition count). Cost, transport, and store settings are always
-    /// taken from the system config, which is their single source of
-    /// truth.
+    /// Override the engine's execution knobs (fusion, partition count,
+    /// per-record CPU costs). Cost, transport, and store settings are
+    /// always taken from the system config, which is their single source
+    /// of truth.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -228,10 +214,7 @@ impl<'a> RunBuilder<'a> {
     /// executing the run under their own scheduler.
     pub fn into_parts(self) -> RunParts<'a> {
         RunParts {
-            source: match self.source {
-                Source::Once { program, fns, data } => RunSource::Once { program, fns, data },
-                Source::Rebuild(build) => RunSource::Rebuild(build),
-            },
+            source: self.source,
             config: self.config,
             engine: self.engine,
             host_threads: self.host_threads,
@@ -243,10 +226,11 @@ impl<'a> RunBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// [`RunError::Config`] for a constraint violation,
-    /// [`RunError::NeedsRebuild`] for a multi-executor or fault-injected
-    /// run over a one-shot source, and [`RunError::ExecutorCrash`] for
-    /// an injected crash with recovery disabled.
+    /// [`RunError::Config`] for a constraint violation or an ill-formed
+    /// program, [`RunError::NeedsRebuild`] for a multi-executor or
+    /// fault-injected run over a one-shot source, and
+    /// [`RunError::ExecutorCrash`] for an injected crash with recovery
+    /// disabled.
     ///
     /// # Panics
     ///
@@ -258,10 +242,10 @@ impl<'a> RunBuilder<'a> {
         let clustered = self.config.executors > 1 || self.faults.is_some();
         if !clustered {
             let (report, outcome) = match self.source {
-                Source::Once { program, fns, data } => {
+                RunSource::Once { program, fns, data } => {
                     run_single(program, fns, data, &self.config, self.engine)?
                 }
-                Source::Rebuild(build) => {
+                RunSource::Rebuild(build) => {
                     let (program, fns, data) = build();
                     run_single(&program, fns, data, &self.config, self.engine)?
                 }
@@ -273,7 +257,7 @@ impl<'a> RunBuilder<'a> {
                 shared_region_bytes: 0,
             });
         }
-        let Source::Rebuild(build) = self.source else {
+        let RunSource::Rebuild(build) = self.source else {
             return Err(RunError::NeedsRebuild {
                 executors: self.config.executors,
             });

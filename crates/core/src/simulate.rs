@@ -9,24 +9,71 @@ use crate::report::RunReport;
 use crate::runtime::PantheraRuntime;
 use panthera_analysis::{analyze, InstrumentationPlan};
 use sparklang::{FnTable, Program};
-use sparklet::{DataRegistry, Engine, EngineConfig, MemoryRuntime, RunOutcome, StageCursor};
+use sparklet::{
+    DataRegistry, Engine, EngineConfig, ExecStats, MemoryRuntime, RunOutcome, StageCursor,
+};
 
-/// The single-runtime driver behind [`crate::RunBuilder`] and the
-/// deprecated free-function shims: validate, analyze, run, report.
+/// The setup every driver shares (single runtime, stage cursor, cluster):
+/// check the configuration, then the program, and take the data-movement
+/// costs, shuffle transport, and region/off-heap stores from the system
+/// config, which is their single source of truth.
+///
+/// # Errors
+///
+/// The first violated configuration constraint, or an ill-formed program.
+pub(crate) fn engine_setup(
+    program: &Program,
+    config: &SystemConfig,
+    mut engine_config: EngineConfig,
+) -> Result<EngineConfig, ConfigError> {
+    config.validate()?;
+    sparklang::validate(program)
+        .map_err(|e| ConfigError::new(format!("ill-formed program {:?}: {e}", program.name)))?;
+    engine_config.costs = config.costs;
+    engine_config.transport = config.transport;
+    engine_config.offheap_cache = config.offheap_cache;
+    engine_config.region_alloc = config.region_alloc;
+    Ok(engine_config)
+}
+
+/// The instrumentation plan `config`'s memory mode runs under: the
+/// Section 3 analysis for the semantic modes, none for the baselines.
+pub(crate) fn instrumentation(program: &Program, config: &SystemConfig) -> InstrumentationPlan {
+    if config.mode.is_semantic() {
+        analyze(program).plan
+    } else {
+        InstrumentationPlan::default()
+    }
+}
+
+/// The [`RunReport`] of a finished engine.
+pub(crate) fn collect_report(
+    workload: &str,
+    mode_label: &str,
+    engine: &Engine<PantheraRuntime>,
+    stats: ExecStats,
+) -> RunReport {
+    let runtime = engine.runtime();
+    RunReport::collect(
+        workload,
+        mode_label,
+        runtime.heap(),
+        runtime.gc(),
+        stats,
+        runtime.monitored_calls(),
+    )
+}
+
+/// The single-runtime driver behind [`crate::RunBuilder`]: validate,
+/// analyze, run, report.
 pub(crate) fn run_single(
     program: &Program,
     fns: FnTable,
     data: DataRegistry,
     config: &SystemConfig,
-    mut engine_config: EngineConfig,
+    engine_config: EngineConfig,
 ) -> Result<(RunReport, RunOutcome), ConfigError> {
-    config.validate()?;
-    // The system config is the single source of truth for data-movement
-    // costs, shuffle transport, and the region/off-heap stores.
-    engine_config.costs = config.costs;
-    engine_config.transport = config.transport;
-    engine_config.offheap_cache = config.offheap_cache;
-    engine_config.region_alloc = config.region_alloc;
+    let engine_config = engine_setup(program, config, engine_config)?;
     if config.executors > 1 {
         return Err(ConfigError::new(format!(
             "config asks for {} executors; the single-runtime entry points run exactly one — \
@@ -34,23 +81,11 @@ pub(crate) fn run_single(
             config.executors
         )));
     }
-    let plan = if config.mode.is_semantic() {
-        analyze(program).plan
-    } else {
-        InstrumentationPlan::default()
-    };
+    let plan = instrumentation(program, config);
     let runtime = PantheraRuntime::new(config).map_err(ConfigError::new)?;
     let mut engine = Engine::with_config(runtime, fns, data, engine_config);
     let outcome = engine.run(program, &plan);
-    let monitored = engine.runtime().monitored_calls();
-    let report = RunReport::collect(
-        &program.name,
-        config.mode.label(),
-        engine.runtime().heap(),
-        engine.runtime().gc(),
-        outcome.stats,
-        monitored,
-    );
+    let report = collect_report(&program.name, config.mode.label(), &engine, outcome.stats);
     Ok((report, outcome))
 }
 
@@ -72,15 +107,15 @@ pub struct SingleCursor {
 }
 
 impl SingleCursor {
-    /// Validate `config`, build the runtime and engine exactly as the
-    /// one-shot single-runtime path does, and pause before the first
-    /// statement-stage.
+    /// Validate `config` and `program`, build the runtime and engine
+    /// exactly as the one-shot single-runtime path does, and pause before
+    /// the first statement-stage.
     ///
     /// # Errors
     ///
-    /// The first violated configuration constraint; asking for more than
-    /// one executor is a constraint violation here just as it is in
-    /// [`run_single`].
+    /// The first violated configuration constraint, or an ill-formed
+    /// program; asking for more than one executor is a constraint
+    /// violation here just as it is in [`run_single`].
     pub fn start(
         program: Program,
         fns: FnTable,
@@ -88,12 +123,9 @@ impl SingleCursor {
         config: &SystemConfig,
         engine_config: EngineConfig,
     ) -> Result<SingleCursor, ConfigError> {
-        let plan = if config.mode.is_semantic() {
-            analyze(&program).plan
-        } else {
-            InstrumentationPlan::default()
-        };
-        Self::start_with_plan(program, fns, data, config, engine_config, plan)
+        let engine_config = engine_setup(&program, config, engine_config)?;
+        let plan = instrumentation(&program, config);
+        Self::launch(program, fns, data, config, engine_config, plan)
     }
 
     /// [`SingleCursor::start`] with an explicit instrumentation plan
@@ -110,14 +142,23 @@ impl SingleCursor {
         fns: FnTable,
         data: DataRegistry,
         config: &SystemConfig,
-        mut engine_config: EngineConfig,
+        engine_config: EngineConfig,
         plan: InstrumentationPlan,
     ) -> Result<SingleCursor, ConfigError> {
-        config.validate()?;
-        engine_config.costs = config.costs;
-        engine_config.transport = config.transport;
-        engine_config.offheap_cache = config.offheap_cache;
-        engine_config.region_alloc = config.region_alloc;
+        let engine_config = engine_setup(&program, config, engine_config)?;
+        Self::launch(program, fns, data, config, engine_config, plan)
+    }
+
+    /// Build the runtime and engine from a checked setup and pause before
+    /// the first statement-stage.
+    fn launch(
+        program: Program,
+        fns: FnTable,
+        data: DataRegistry,
+        config: &SystemConfig,
+        engine_config: EngineConfig,
+        plan: InstrumentationPlan,
+    ) -> Result<SingleCursor, ConfigError> {
         if config.executors > 1 {
             return Err(ConfigError::new(format!(
                 "config asks for {} executors; a stage cursor drives exactly one — \
@@ -198,15 +239,7 @@ impl SingleCursor {
     /// Panics if stages remain.
     pub fn finish(self) -> (RunReport, RunOutcome) {
         let (engine, outcome) = self.cursor.finish();
-        let monitored = engine.runtime().monitored_calls();
-        let report = RunReport::collect(
-            &self.workload,
-            self.mode_label,
-            engine.runtime().heap(),
-            engine.runtime().gc(),
-            outcome.stats,
-            monitored,
-        );
+        let report = collect_report(&self.workload, self.mode_label, &engine, outcome.stats);
         (report, outcome)
     }
 }

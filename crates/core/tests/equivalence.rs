@@ -11,8 +11,8 @@
 //!    the `partition_sizes` edge cases (`n < parts`, `parts = 1`, empty).
 
 use mheap::Payload;
+use panthera::cluster::{run_cluster, ClusterOutcome};
 use panthera::{MemoryMode, RunBuilder, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster, ClusterOutcome};
 use proptest::prelude::*;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};

@@ -15,8 +15,8 @@
 //!    transport, exactly as under serde.
 
 use mheap::Payload;
+use panthera::cluster::{run_cluster, ClusterOutcome};
 use panthera::{MemoryMode, RunBuilder, ShuffleTransport, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster, ClusterOutcome};
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use workloads::{build_workload, WorkloadId};

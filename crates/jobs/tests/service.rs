@@ -282,6 +282,49 @@ fn crashing_tenant_never_perturbs_other_tenants() {
 }
 
 #[test]
+fn ill_formed_tenant_job_is_rejected_without_perturbing_others() {
+    let solo = good_tenant_solo_report();
+    let mut service = JobService::new(ServiceConfig {
+        pool_executors: 3,
+        policy: SchedPolicy::FairShare,
+        dram_budget_bytes: None,
+        host_threads: None,
+    });
+    let (p, f, d) = triple(WorkloadId::Km, 0.04, 9);
+    let good = service
+        .submit(JobSpec::inline(1, p, f, d).with_config(cfg(4)))
+        .expect("admissible");
+    // A use-before-def program: the action reads a variable no statement
+    // binds any more.
+    let mut b = sparklang::ProgramBuilder::new("use-before-def");
+    let src = b.source("nums");
+    let xs = b.bind("xs", src.distinct());
+    b.action(xs, sparklang::ActionKind::Count);
+    let (mut bp, bf) = b.finish();
+    bp.stmts.remove(0);
+    assert!(sparklang::validate(&bp).is_err());
+    let mut bd = DataRegistry::new();
+    bd.register("nums", (0..64).map(mheap::Payload::Long).collect());
+    let bad = service
+        .submit(JobSpec::inline(2, bp, bf, bd).with_config(cfg(4)))
+        .expect("submission checks the configuration only");
+    let report = service.run();
+    // The bad job was refused at start; the service survived.
+    assert_eq!(report.jobs[bad as usize].outcome, JobOutcome::Rejected);
+    assert_eq!(report.tenants[1].rejected, 1);
+    let with_bad = report.jobs[good as usize]
+        .report
+        .as_ref()
+        .expect("good job finished")
+        .to_json()
+        .to_compact();
+    assert_eq!(
+        with_bad, solo,
+        "an ill-formed co-tenant job must not perturb another tenant's RunReport"
+    );
+}
+
+#[test]
 fn quota_bounced_tenant_never_perturbs_other_tenants() {
     // DRAM arbitration is live here: the rejected job must not count
     // toward anyone's split, so the good tenant's clamp is unchanged.

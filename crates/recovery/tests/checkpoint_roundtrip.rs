@@ -9,8 +9,8 @@
 //!    restarted executor recomputes to fewer than `n` shuffle stages.
 
 use mheap::{Payload, WirePayload};
+use panthera::cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, NvmCheckpointStore};
 use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, NvmCheckpointStore};
 use proptest::prelude::*;
 use sparklang::ast::MemoryTag;
 use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};

@@ -17,8 +17,8 @@
 //!    per-executor sub-report are bit-identical across host-thread
 //!    budgets.
 
+use panthera::cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, FaultSpec, VCrashPoint};
 use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{run_cluster_faulted, ClusterOutcome, FaultPlan, FaultSpec, VCrashPoint};
 use proptest::prelude::*;
 use sparklet::{ActionResult, EngineConfig};
 use workloads::{build_workload, WorkloadId};

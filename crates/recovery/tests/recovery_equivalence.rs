@@ -10,11 +10,11 @@
 //! 3. An injected crash with recovery disabled surfaces as a typed error
 //!    (the poisoned exchange), never a deadlock.
 
-use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
-use panthera_cluster::{
+use panthera::cluster::{
     run_cluster, run_cluster_faulted, AllocFaultPoint, ClusterOutcome, FaultPlan, FaultSpec,
     GatherKind, LossPoint,
 };
+use panthera::{MemoryMode, RecoveryPolicy, SystemConfig, SIM_GB};
 use sparklet::{ActionResult, EngineConfig};
 use workloads::{build_workload, WorkloadId};
 

@@ -13,8 +13,9 @@
 //! whole cluster is a Kahn process network: results and simulated clocks
 //! are independent of host-thread scheduling.
 
-use mheap::WirePayload;
+use mheap::{Key, Payload, WirePayload};
 use sparklang::ast::MemoryTag;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -491,4 +492,74 @@ impl fmt::Debug for ClusterCtx {
             .field("n_exec", &self.n_exec)
             .finish_non_exhaustive()
     }
+}
+
+/// The observation label of a journaled operation.
+pub(crate) fn journal_kind(op: JournalOp) -> obs::JournalKind {
+    match op {
+        JournalOp::ShuffleDeposit => obs::JournalKind::Shuffle,
+        JournalOp::ActionDeposit => obs::JournalKind::Action,
+        JournalOp::CheckpointSave => obs::JournalKind::Checkpoint,
+    }
+}
+
+/// Collect one side's partitions from every executor's contribution as
+/// `(global partition id, origin executor, records)` tuples, ascending by
+/// partition id — the order a run without peers scans them in.
+pub(crate) fn merge_contrib_parts(
+    contribs: &[ShuffleContrib],
+    side: impl Fn(&ShuffleContrib) -> Option<&[(u64, Vec<WirePayload>)]>,
+) -> Vec<(u64, u16, Vec<Payload>)> {
+    let mut out = Vec::new();
+    for (origin, c) in contribs.iter().enumerate() {
+        if let Some(parts) = side(c) {
+            for (gid, recs) in parts {
+                out.push((
+                    *gid,
+                    origin as u16,
+                    recs.iter().map(Payload::from).collect(),
+                ));
+            }
+        }
+    }
+    out.sort_by_key(|(gid, _, _)| *gid);
+    out
+}
+
+/// Cross-executor shuffle traffic chargeable to executor `exec`: records
+/// it sends to reducers on other executors plus records it receives from
+/// other executors' map sides. Reducer ownership follows key
+/// first-appearance order, round-robin across executors — the same
+/// modulo placement rule partitions use. With one executor every record
+/// stays put and the cost is exactly zero.
+pub(crate) fn transfer_cost(
+    left: &[(u64, u16, Vec<Payload>)],
+    right: &[(u64, u16, Vec<Payload>)],
+    exec: u16,
+    n_exec: u16,
+) -> (u64, u64) {
+    let mut key_bucket: HashMap<Key, usize> = HashMap::new();
+    for (_, _, recs) in left.iter().chain(right.iter()) {
+        for r in recs {
+            let next = key_bucket.len();
+            key_bucket.entry(r.shuffle_key()).or_insert(next);
+        }
+    }
+    let mut records = 0u64;
+    let mut bytes = 0u64;
+    for (_, origin, recs) in left.iter().chain(right.iter()) {
+        for r in recs {
+            let reducer = (key_bucket[&r.shuffle_key()] % n_exec as usize) as u16;
+            let crossing = if *origin == exec {
+                reducer != exec
+            } else {
+                reducer == exec
+            };
+            if crossing {
+                records += 1;
+                bytes += r.model_bytes();
+            }
+        }
+    }
+    (records, bytes)
 }

@@ -1,19 +1,18 @@
-//! Resumable stage cursor: run a program one statement-stage at a time.
+//! The statement schedule and the resumable stage cursor.
 //!
-//! [`Engine::run`] drives a program to completion in one call by recursing
-//! through [`sparklang`] blocks. A multi-tenant scheduler needs to pause a
-//! job at each stage barrier and hand the executor pool to somebody else,
-//! so [`StageCursor`] flattens the recursive interpretation into a
-//! precomputed step schedule — loops unrolled by their static trip counts —
-//! and executes exactly one statement per [`StageCursor::step`] call.
+//! Every run steps one flattened schedule: loops unrolled by their static
+//! trip counts, one statement per step. [`Engine::run`] steps it to the
+//! end in one call. A multi-tenant scheduler needs to pause a job at each
+//! stage barrier and hand the executor pool to somebody else, so
+//! [`StageCursor`] owns the engine and the schedule and executes exactly
+//! one statement per [`StageCursor::step`] call.
 //!
-//! The cursor is *bit-identical* to [`Engine::run`]: it calls the same
-//! `pub(crate)` prologue/execute/epilogue helpers in the same order with
-//! the same pre-order statement ids, so every simulated clock tick, heap
-//! event, and lifetime-schedule application happens exactly as it would in
-//! a one-shot run. `cursor_matches_run` in this module's tests pins that.
+//! Because both step the same [`Schedule`], the cursor is *bit-identical*
+//! to [`Engine::run`]: every simulated clock tick, heap event, and
+//! lifetime-schedule application happens exactly as it would in a
+//! one-shot run. `cursor_matches_run` in the engine tests pins that.
 
-use crate::engine::{count_stmts, ActionResult, Engine, RunOutcome};
+use crate::engine::{ActionResult, Engine, RunOutcome};
 use crate::runtime::MemoryRuntime;
 use panthera_analysis::InstrumentationPlan;
 use sparklang::ast::{Program, Stmt, StmtId};
@@ -37,17 +36,17 @@ struct CursorStep {
     /// Child indices from the program root down to the statement; each
     /// non-final component descends into a `Loop` body.
     path: Vec<u16>,
-    /// The pre-order [`StmtId`] the recursive interpreter would assign at
-    /// this point (ids repeat across unrolled loop iterations, exactly as
-    /// `exec_block` re-numbers each iteration from the loop's base).
+    /// The pre-order [`StmtId`] of the statement (ids repeat across
+    /// unrolled loop iterations: each iteration is re-numbered from the
+    /// loop's base, which is what the analysis plan's sites are keyed on).
     id: u32,
     kind: StepKind,
 }
 
-/// Flatten a block into the step schedule, reproducing `exec_block`'s
-/// pre-order statement numbering: each statement claims one id, a loop
-/// body is re-numbered from the same base every iteration, and the loop
-/// advances the counter past one body's worth of ids when it closes.
+/// Flatten a block into the step schedule with pre-order statement
+/// numbering: each statement claims one id, a loop body is re-numbered
+/// from the same base every iteration, and the loop advances the counter
+/// past one body's worth of ids when it closes.
 fn flatten(stmts: &[Stmt], path: &mut Vec<u16>, next: &mut u32, out: &mut Vec<CursorStep>) {
     for (i, s) in stmts.iter().enumerate() {
         let id = *next;
@@ -82,6 +81,17 @@ fn flatten(stmts: &[Stmt], path: &mut Vec<u16>, next: &mut u32, out: &mut Vec<Cu
     }
 }
 
+/// Statements in a block, counted the way the pre-order numbering does.
+fn count_stmts(stmts: &[Stmt]) -> u32 {
+    stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::Loop { body, .. } => 1 + count_stmts(body),
+            _ => 1,
+        })
+        .sum()
+}
+
 /// Walk a path back to its statement.
 fn resolve<'p>(stmts: &'p [Stmt], path: &[u16]) -> &'p Stmt {
     let s = &stmts[path[0] as usize];
@@ -91,6 +101,77 @@ fn resolve<'p>(stmts: &'p [Stmt], path: &[u16]) -> &'p Stmt {
     match s {
         Stmt::Loop { body, .. } => resolve(body, &path[1..]),
         _ => unreachable!("cursor path descends through a non-loop statement"),
+    }
+}
+
+/// A program's flattened statement schedule plus the interpreter state
+/// of stepping through it: the position, the open loops, and the action
+/// results so far.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    steps: Vec<CursorStep>,
+    pos: usize,
+    /// Lifetime steps claimed by the prologues of still-open loops,
+    /// innermost last; popped by the matching `LoopExit`.
+    loop_frames: Vec<usize>,
+    results: Vec<(String, ActionResult)>,
+}
+
+impl Schedule {
+    /// The schedule of `program`, positioned before its first statement.
+    pub(crate) fn new(program: &Program) -> Self {
+        let mut steps = Vec::new();
+        flatten(&program.stmts, &mut Vec::new(), &mut 0, &mut steps);
+        Schedule {
+            steps,
+            pos: 0,
+            loop_frames: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Execute the next statement on `engine`. Returns `false` if the
+    /// schedule was already exhausted (and nothing ran).
+    pub(crate) fn step<R: MemoryRuntime>(
+        &mut self,
+        engine: &mut Engine<R>,
+        program: &Program,
+        plan: &InstrumentationPlan,
+    ) -> bool {
+        let Some(cs) = self.steps.get(self.pos) else {
+            return false;
+        };
+        self.pos += 1;
+        match cs.kind {
+            StepKind::LoopEnter => {
+                let step = engine.stmt_prologue();
+                self.loop_frames.push(step);
+            }
+            StepKind::LoopExit => {
+                let step = self
+                    .loop_frames
+                    .pop()
+                    .expect("LoopExit without a matching LoopEnter");
+                engine.stmt_epilogue(step);
+            }
+            StepKind::Simple => {
+                let stmt = resolve(&program.stmts, &cs.path);
+                let step = engine.stmt_prologue();
+                engine.exec_simple(program, stmt, StmtId(cs.id), plan, &mut self.results);
+                engine.stmt_epilogue(step);
+            }
+        }
+        true
+    }
+
+    /// Steps still to run.
+    fn remaining(&self) -> usize {
+        self.steps.len() - self.pos
+    }
+
+    /// The action results, in execution order.
+    pub(crate) fn into_results(self) -> Vec<(String, ActionResult)> {
+        self.results
     }
 }
 
@@ -106,51 +187,40 @@ pub struct StageCursor<R: MemoryRuntime> {
     engine: Engine<R>,
     program: Program,
     plan: InstrumentationPlan,
-    steps: Vec<CursorStep>,
-    pos: usize,
-    /// Lifetime steps claimed by the prologues of still-open loops,
-    /// innermost last; popped by the matching `LoopExit`.
-    loop_frames: Vec<usize>,
-    results: Vec<(String, ActionResult)>,
+    schedule: Schedule,
 }
 
 impl<R: MemoryRuntime> StageCursor<R> {
     /// Begin a resumable run of `program` on `engine`.
     ///
     /// Performs the same start-of-run setup as [`Engine::run`] (program
-    /// validation, variable table, lifetime schedule) and precomputes the
-    /// flattened step schedule. Panics on an ill-formed program, like
+    /// validation, variable table, lifetime schedule) and builds the same
+    /// flattened schedule. Panics on an ill-formed program, like
     /// [`Engine::run`] does.
     pub fn new(mut engine: Engine<R>, program: Program, plan: InstrumentationPlan) -> Self {
         engine.begin_run(&program);
-        let mut steps = Vec::new();
-        let mut path = Vec::new();
-        let mut next = 0u32;
-        flatten(&program.stmts, &mut path, &mut next, &mut steps);
+        let schedule = Schedule::new(&program);
         StageCursor {
             engine,
             program,
             plan,
-            steps,
-            pos: 0,
-            loop_frames: Vec::new(),
-            results: Vec::new(),
+            schedule,
         }
     }
 
     /// Total statement-stages in the flattened schedule.
     pub fn total_stages(&self) -> usize {
-        self.steps.len()
+        self.schedule.steps.len()
     }
 
     /// Stages still to run.
     pub fn remaining(&self) -> usize {
-        self.steps.len() - self.pos
+        self.schedule.remaining()
     }
 
     /// Whether every stage has executed.
     pub fn is_done(&self) -> bool {
-        self.pos >= self.steps.len()
+        self.remaining() == 0
     }
 
     /// The engine's simulated clock, in nanoseconds.
@@ -182,37 +252,8 @@ impl<R: MemoryRuntime> StageCursor<R> {
     /// Execute the next statement-stage. Returns `false` if the schedule
     /// was already exhausted (and nothing ran).
     pub fn step(&mut self) -> bool {
-        if self.pos >= self.steps.len() {
-            return false;
-        }
-        let cs = &self.steps[self.pos];
-        self.pos += 1;
-        match cs.kind {
-            StepKind::LoopEnter => {
-                let step = self.engine.stmt_prologue();
-                self.loop_frames.push(step);
-            }
-            StepKind::LoopExit => {
-                let step = self
-                    .loop_frames
-                    .pop()
-                    .expect("LoopExit without a matching LoopEnter");
-                self.engine.stmt_epilogue(step);
-            }
-            StepKind::Simple => {
-                let stmt = resolve(&self.program.stmts, &cs.path);
-                let step = self.engine.stmt_prologue();
-                self.engine.exec_simple(
-                    &self.program,
-                    stmt,
-                    StmtId(cs.id),
-                    &self.plan,
-                    &mut self.results,
-                );
-                self.engine.stmt_epilogue(step);
-            }
-        }
-        true
+        self.schedule
+            .step(&mut self.engine, &self.program, &self.plan)
     }
 
     /// Finish the run: performs the same end-of-run sweeps as
@@ -231,7 +272,7 @@ impl<R: MemoryRuntime> StageCursor<R> {
         (
             self.engine,
             RunOutcome {
-                results: self.results,
+                results: self.schedule.into_results(),
                 stats,
             },
         )

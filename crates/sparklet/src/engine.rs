@@ -16,15 +16,17 @@
 //!   behaviour Panthera's heap design exploits.
 
 use crate::cluster::{
-    ActionContrib, BeginOutcome, ClusterCtx, ClusterError, JournalOp, PartMeta, ShuffleContrib,
+    journal_kind, merge_contrib_parts, transfer_cost, ActionContrib, BeginOutcome, ClusterCtx,
+    ClusterError, JournalOp, PartMeta, ShuffleContrib,
 };
 use crate::costs::{CostModel, ShuffleTransport};
+use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
 use crate::shuffle::{reduce_side, Buckets};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
-use mheap::{Key, ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
+use mheap::{ObjId, ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
@@ -51,19 +53,12 @@ pub struct EngineConfig {
     /// Simulated costs are charged from per-stage event logs in exactly
     /// the stage-at-a-time order the unfused engine uses, so simulated
     /// time/energy/GC behaviour is bit-identical either way. `false`
-    /// selects the legacy stage-at-a-time execution (kept for A/B
-    /// benchmarking and the fused-vs-unfused equivalence tests).
+    /// selects stage-at-a-time execution (kept for A/B benchmarking and
+    /// the fused-vs-unfused equivalence tests).
     pub fuse_narrow: bool,
-    /// Benchmark-only emulation of the pre-rework engine's host cost:
-    /// every record handoff performs a structural [`Payload::deep_clone`]
-    /// where the engine now bumps an `Rc` refcount. Pair with
-    /// `fuse_narrow: false` to reproduce the seed engine's copy-per-stage
-    /// behaviour for before/after trajectory benchmarks. Simulated
-    /// time/energy is unaffected — only host CPU burns.
-    pub legacy_copies: bool,
-    /// How shuffle data crosses executors. Only consulted in cluster
-    /// mode; a single-executor cluster never crosses executors, so the
-    /// legacy single-runtime path is unaffected by this knob.
+    /// How shuffle data crosses executors. Only consulted when the run
+    /// has peers; a single-executor run never crosses executors, so this
+    /// knob cannot affect it.
     pub transport: ShuffleTransport,
     /// Store heap-level persisted RDDs in the off-heap H2 region instead
     /// of materializing them into the traced heap: the GC neither traces
@@ -90,7 +85,6 @@ impl Default for EngineConfig {
             driver_cpu_ns: 1_000.0,
             partitions: 8,
             fuse_narrow: true,
-            legacy_copies: false,
             transport: ShuffleTransport::Serde,
             offheap_cache: false,
             region_alloc: false,
@@ -282,11 +276,12 @@ pub struct Engine<R: MemoryRuntime> {
     random_read_depth: u32,
     /// Sequence number for `StageStart`/`StageEnd` events.
     stage_seq: u32,
-    /// Cluster membership; `None` runs the legacy single-runtime path.
+    /// Cluster membership; `None` for a run without peers, which owns
+    /// every partition and exchanges nothing.
     cluster: Option<ClusterCtx>,
-    /// Cluster mode: where each computed RDD's local records sit in the
-    /// global partition space. Entries persist across evictions (a
-    /// recompute re-derives the identical layout).
+    /// Where each computed RDD's local records sit in the global
+    /// partition space. Entries persist across evictions (a recompute
+    /// re-derives the identical layout).
     part_meta: HashMap<RddId, PartMeta>,
     /// Cluster mode: monotone statement-barrier counter.
     barrier_seq: u64,
@@ -337,8 +332,8 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Build an executor-resident engine: it keeps only the source
     /// partitions assigned to `ctx.exec` and rendezvouses with its peers
     /// through `ctx.exchange` at shuffles, actions, and statement
-    /// barriers. With `ctx.n_exec == 1` the run is bit-identical to the
-    /// legacy single-runtime path.
+    /// barriers. With `ctx.n_exec == 1` the run is bit-identical to a run
+    /// without peers.
     pub fn with_cluster(
         runtime: R,
         fns: FnTable,
@@ -383,18 +378,20 @@ impl<R: MemoryRuntime> Engine<R> {
 
     /// Run a program under an instrumentation plan (use
     /// `InstrumentationPlan::default()` for un-instrumented baselines).
+    /// This steps the same flattened statement schedule a
+    /// [`crate::StageCursor`] does, to the end.
+    ///
     /// # Panics
     ///
     /// Panics if the program is ill-formed (see [`sparklang::validate`]) —
     /// programs built with the [`sparklang::ProgramBuilder`] always pass.
     pub fn run(&mut self, program: &Program, plan: &InstrumentationPlan) -> RunOutcome {
         self.begin_run(program);
-        let mut results = Vec::new();
-        let mut next = 0u32;
-        self.exec_block(program, &program.stmts, plan, &mut next, &mut results);
+        let mut schedule = Schedule::new(program);
+        while schedule.step(self, program, plan) {}
         self.finish_run();
         RunOutcome {
-            results,
+            results: schedule.into_results(),
             stats: self.stats,
         }
     }
@@ -415,27 +412,16 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     /// End-of-run sweeps shared by [`Engine::run`] and
-    /// [`crate::StageCursor::finish`].
+    /// [`crate::StageCursor::finish`]: the lifetime schedule must have
+    /// freed every off-heap block and region arena by now, so anything
+    /// still resident is a leak — reclaim it and count it (tests pin the
+    /// leak counters to zero).
     pub(crate) fn finish_run(&mut self) {
-        self.offheap_sweep();
-        self.region_sweep();
-    }
-
-    /// End-of-run off-heap sweep: the lifetime schedule must have freed
-    /// every block by now, so anything still resident is a leak — reclaim
-    /// it and count it (tests pin the counter to zero).
-    fn offheap_sweep(&mut self) {
         for rdd in self.offheap_region.live_rdds() {
             let freed = self.offheap_region.free(rdd);
             self.stats.offheap_leaks += 1;
             self.note_offheap_free(rdd, freed.bytes);
         }
-    }
-
-    /// End-of-run region sweep, the region arenas' counterpart of
-    /// [`Engine::offheap_sweep`]: live arenas at this point are schedule
-    /// leaks (tests pin the counter to zero).
-    fn region_sweep(&mut self) {
         debug_assert!(
             !self.region_heap.stage_open(),
             "stage scratch arena left open past the last evaluation"
@@ -448,35 +434,8 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     // ------------------------------------------------------------------
-    // Interpreter
+    // Statement execution (the schedule in `cursor.rs` drives these)
     // ------------------------------------------------------------------
-
-    fn exec_block(
-        &mut self,
-        program: &Program,
-        stmts: &[Stmt],
-        plan: &InstrumentationPlan,
-        next: &mut u32,
-        results: &mut Vec<(String, ActionResult)>,
-    ) {
-        for s in stmts {
-            let id = StmtId(*next);
-            *next += 1;
-            let step = self.stmt_prologue();
-            match s {
-                Stmt::Loop { n, body } => {
-                    let body_count = count_stmts(body);
-                    for _ in 0..*n {
-                        let mut inner = *next;
-                        self.exec_block(program, body, plan, &mut inner, results);
-                    }
-                    *next += body_count;
-                }
-                other => self.exec_simple(program, other, id, plan, results),
-            }
-            self.stmt_epilogue(step);
-        }
-    }
 
     /// Per-statement entry bookkeeping: claim the next lifetime step and
     /// charge the driver-interpretation CPU cost. Returns the claimed
@@ -492,9 +451,8 @@ impl<R: MemoryRuntime> Engine<R> {
         step
     }
 
-    /// Execute one non-loop statement (loops are driven by
-    /// [`Engine::exec_block`] or the [`crate::StageCursor`]'s flattened
-    /// schedule, which call this for each body statement).
+    /// Execute one non-loop statement (loops are unrolled by the flattened
+    /// schedule, which calls this for each body statement).
     pub(crate) fn exec_simple(
         &mut self,
         program: &Program,
@@ -608,17 +566,10 @@ impl<R: MemoryRuntime> Engine<R> {
             }
         });
         if let Some(recovery_ns) = done {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::RecoveryEnd {
-                        barrier: index,
-                        recovery_ns,
-                    },
-                );
-            }
+            self.emit(obs::Event::RecoveryEnd {
+                barrier: index,
+                recovery_ns,
+            });
         }
     }
 
@@ -630,6 +581,12 @@ impl<R: MemoryRuntime> Engine<R> {
         if t_bar > now {
             self.runtime.heap_mut().mem_mut().compute(t_bar - now);
         }
+    }
+
+    /// Observe `event` at the current virtual time (never charges).
+    fn emit(&self, event: obs::Event) {
+        let mem = self.runtime.heap().mem();
+        mem.observer().emit(mem.clock().now_ns(), &event);
     }
 
     fn var_rdd(&self, var: VarId) -> RddId {
@@ -725,14 +682,7 @@ impl<R: MemoryRuntime> Engine<R> {
             // Wholesale reset: no per-object work, no GC involvement.
             let freed = self.region_heap.close_stage();
             if freed > 0 {
-                let mem = self.runtime.heap().mem();
-                let observer = mem.observer();
-                if observer.enabled() {
-                    observer.emit(
-                        mem.clock().now_ns(),
-                        &obs::Event::RegionStageFree { bytes: freed },
-                    );
-                }
+                self.emit(obs::Event::RegionStageFree { bytes: freed });
             }
             if cfg!(debug_assertions) {
                 if let Err(e) = self.region_heap.check_invariants() {
@@ -888,10 +838,10 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
+    /// Run an action: evaluate this executor's records of `rdd`, compute
+    /// the local result, and merge it with the peers' at the action
+    /// gather (without peers the local result is the result).
     fn run_action(&mut self, rdd: RddId, action: &ActionKind) -> ActionResult {
-        if self.cluster.is_some() {
-            return self.run_action_cluster(rdd, action);
-        }
         self.propagate_tag_of(rdd);
         self.evaluation(|e| {
             let records = e.compute(rdd);
@@ -900,7 +850,7 @@ impl<R: MemoryRuntime> Engine<R> {
             if !e.is_materialized(rdd) {
                 e.materialize_into_heap(rdd, &records, true);
             }
-            match action {
+            let local = match action {
                 ActionKind::Count => ActionResult::Count(records.len() as u64),
                 ActionKind::Collect => ActionResult::Collected(
                     Rc::try_unwrap(records).unwrap_or_else(|rc| rc.as_ref().clone()),
@@ -916,99 +866,8 @@ impl<R: MemoryRuntime> Engine<R> {
                     });
                     ActionResult::Reduced(folded)
                 }
-            }
-        })
-    }
-
-    /// Cluster-mode action: every executor evaluates its local slice,
-    /// contributes a partial (count, wired partitions, or a locally-folded
-    /// reduce partial), and merges the gathered partials into the global
-    /// result — identically on every executor, so the driver can take any
-    /// one of them. Local folds charge per-step CPU like the legacy path;
-    /// the cross-executor merge of reduce partials is uncharged driver
-    /// work (a parallel-reduce tree root). With one executor the local
-    /// partial *is* the global result.
-    fn run_action_cluster(&mut self, rdd: RddId, action: &ActionKind) -> ActionResult {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster action outside cluster");
-        self.propagate_tag_of(rdd);
-        self.evaluation(|e| {
-            let records = e.compute(rdd);
-            if !e.is_materialized(rdd) {
-                e.materialize_into_heap(rdd, &records, true);
-            }
-            let contrib = match action {
-                ActionKind::Count => ActionContrib::Count(records.len() as u64),
-                ActionKind::Collect => ActionContrib::Collect(e.wire_parts(rdd, &records)),
-                ActionKind::Reduce(f) => {
-                    let mut it = records.iter();
-                    let first = it.next().cloned();
-                    let folded = first.map(|mut acc| {
-                        for r in it {
-                            acc = e.apply_reduce(*f, &acc, r);
-                        }
-                        acc
-                    });
-                    ActionContrib::Reduce(folded.as_ref().map(WirePayload::from))
-                }
             };
-            let seq = e.action_seq;
-            e.action_seq += 1;
-            // Journaled deposit: begin (persist intent + digest), deposit,
-            // commit. The probes expose both torn windows — crashed before
-            // the deposit landed (replay rolls it forward) and after (the
-            // exchange validates the replayed digest and keeps the
-            // original).
-            e.journal_begin(JournalOp::ActionDeposit, seq, contrib.digest(), 0);
-            e.crash_probe();
-            let now = e.runtime.heap().mem().clock().now_ns();
-            let (contribs, t_bar) = ctx
-                .exchange
-                .gather_action(ctx.exec, seq, contrib, now)
-                .unwrap_or_else(|err| std::panic::panic_any(err));
-            e.sync_to(t_bar);
-            e.crash_probe();
-            e.journal_commit(JournalOp::ActionDeposit, seq);
-            match action {
-                ActionKind::Count => ActionResult::Count(
-                    contribs
-                        .iter()
-                        .map(|c| match c {
-                            ActionContrib::Count(n) => *n,
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .sum(),
-                ),
-                ActionKind::Collect => {
-                    let mut parts: Vec<(u64, Vec<Payload>)> = contribs
-                        .iter()
-                        .flat_map(|c| match c {
-                            ActionContrib::Collect(parts) => parts.iter().map(|(gid, recs)| {
-                                (*gid, recs.iter().map(Payload::from).collect())
-                            }),
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .collect();
-                    parts.sort_by_key(|(gid, _)| *gid);
-                    ActionResult::Collected(parts.into_iter().flat_map(|(_, recs)| recs).collect())
-                }
-                ActionKind::Reduce(f) => {
-                    let partials: Vec<Payload> = contribs
-                        .iter()
-                        .filter_map(|c| match c {
-                            ActionContrib::Reduce(p) => p.as_ref().map(Payload::from),
-                            other => panic!("mismatched action contribution {other:?}"),
-                        })
-                        .collect();
-                    let combine = match e.fns.get(*f) {
-                        UserFn::Reduce(f) => f,
-                        other => panic!("expected a reduce function, got {other:?}"),
-                    };
-                    ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(&a, &b)))
-                }
-            }
+            e.gather_action(rdd, action, local)
         })
     }
 
@@ -1047,34 +906,16 @@ impl<R: MemoryRuntime> Engine<R> {
         }
     }
 
-    /// Materialize `records` in serialized form: one compact byte buffer
-    /// per partition (a `byte[]` in Spark), pretenured like any RDD array.
-    /// Reads deserialize on the fly; the heap holds no per-tuple objects.
-    fn materialize_serialized(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
-        debug_assert!(
-            self.rdds[rdd.0 as usize].materialized.is_none(),
-            "double materialization of {rdd}"
-        );
+    /// Allocate an RDD's backbone: one array per partition with the given
+    /// slot counts, allocated back to back (the tasks' tuples come later,
+    /// so consecutive arrays share boundary cards unless padded), then the
+    /// top object referencing them all. The arrays are rooted in the
+    /// caller's open scope.
+    fn alloc_backbone(&mut self, rdd: RddId, slots: Vec<usize>) -> (ObjId, Vec<ObjId>) {
         let tag = self.rdds[rdd.0 as usize].tag;
-        // Serialization CPU, once per record.
-        self.runtime
-            .heap_mut()
-            .mem_mut()
-            .compute(self.config.costs.serde_ns(records.len() as u64));
-        self.roots.push_scope();
-        let n_parts = self.config.partitions.clamp(1, records.len().max(1));
-        let per_part = records.len().div_ceil(n_parts).max(1);
-        let mut arrays = Vec::with_capacity(n_parts);
-        for chunk in records.chunks(per_part) {
-            let bytes: u64 = chunk.iter().map(Payload::model_bytes).sum();
-            // The buffer is a primitive byte array: size it in 8-byte slots.
-            let slots = (bytes.div_ceil(8) as usize).max(1);
-            let array = self.runtime.alloc_rdd_array(&self.roots, rdd.0, slots, tag);
-            self.roots.push(array);
-            arrays.push(array);
-        }
-        if arrays.is_empty() {
-            let array = self.runtime.alloc_rdd_array(&self.roots, rdd.0, 1, tag);
+        let mut arrays = Vec::with_capacity(slots.len());
+        for n in slots {
+            let array = self.runtime.alloc_rdd_array(&self.roots, rdd.0, n, tag);
             self.roots.push(array);
             arrays.push(array);
         }
@@ -1084,6 +925,35 @@ impl<R: MemoryRuntime> Engine<R> {
         for a in &arrays[1..] {
             self.runtime.heap_mut().push_ref(top, *a);
         }
+        (top, arrays)
+    }
+
+    /// Materialize `records` in serialized form: one compact byte buffer
+    /// per partition (a `byte[]` in Spark), pretenured like any RDD array.
+    /// Reads deserialize on the fly; the heap holds no per-tuple objects.
+    fn materialize_serialized(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
+        debug_assert!(
+            self.rdds[rdd.0 as usize].materialized.is_none(),
+            "double materialization of {rdd}"
+        );
+        // Serialization CPU, once per record.
+        self.runtime
+            .heap_mut()
+            .mem_mut()
+            .compute(self.config.costs.serde_ns(records.len() as u64));
+        self.roots.push_scope();
+        // Each buffer is a primitive byte array: size it in 8-byte slots.
+        let n_parts = self.config.partitions.clamp(1, records.len().max(1));
+        let mut off = 0usize;
+        let slots = partition_sizes(records.len(), n_parts)
+            .into_iter()
+            .map(|len| {
+                let bytes = model_bytes(&records[off..off + len]);
+                off += len;
+                (bytes.div_ceil(8) as usize).max(1)
+            })
+            .collect();
+        let (top, arrays) = self.alloc_backbone(rdd, slots);
         self.roots.pop_scope();
         self.roots.push_global(top);
         let len = records.len();
@@ -1111,27 +981,10 @@ impl<R: MemoryRuntime> Engine<R> {
         }
         self.fault_probe_materialize(records);
         self.ensure_heap_capacity(records);
-        let tag = self.rdds[rdd.0 as usize].tag;
         self.roots.push_scope();
-        // One backbone array per partition, allocated back to back (the
-        // tasks' tuples come later, so consecutive arrays share boundary
-        // cards unless padded).
         let n_parts = self.config.partitions.clamp(1, records.len().max(1));
         let per_part = records.len().div_ceil(n_parts).max(1);
-        let mut arrays = Vec::with_capacity(n_parts);
-        for chunk_len in partition_sizes(records.len(), n_parts) {
-            let array = self
-                .runtime
-                .alloc_rdd_array(&self.roots, rdd.0, chunk_len, tag);
-            self.roots.push(array);
-            arrays.push(array);
-        }
-        let top = self
-            .runtime
-            .alloc_rdd_top(&self.roots, rdd.0, arrays[0], tag);
-        for a in &arrays[1..] {
-            self.runtime.heap_mut().push_ref(top, *a);
-        }
+        let (top, arrays) = self.alloc_backbone(rdd, partition_sizes(records.len(), n_parts));
         self.roots.push(top);
         for (i, r) in records.iter().enumerate() {
             let tuple = self
@@ -1162,11 +1015,11 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     // ------------------------------------------------------------------
-    // Fault injection and checkpoint/recovery hooks (cluster mode only).
-    // Every hook is a no-op — no charge, no event, no counter — unless
-    // the cluster runs under a fault plan or checkpoint policy, so the
-    // legacy and fault-free paths are bit-identical to a build without
-    // these hooks.
+    // Fault injection and checkpoint/recovery hooks (runs with a recovery
+    // context only). Every hook is a no-op — no charge, no event, no
+    // counter — unless the cluster runs under a fault plan or checkpoint
+    // policy, so runs without peers and fault-free runs are bit-identical
+    // to a build without these hooks.
     // ------------------------------------------------------------------
 
     /// Virtual-time crash probe: if the fault plan schedules a crash for
@@ -1253,11 +1106,7 @@ impl<R: MemoryRuntime> Engine<R> {
             }
         });
         if let Some(ev) = event {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(mem.clock().now_ns(), &ev);
-            }
+            self.emit(ev);
         }
     }
 
@@ -1292,20 +1141,11 @@ impl<R: MemoryRuntime> Engine<R> {
             return;
         }
         rec.slot.with(|c| c.alloc_faults += 1);
-        let need: u64 = records.iter().map(Payload::model_bytes).sum();
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::AllocFail {
-                        space: obs::AllocSpace::Eden,
-                        need,
-                    },
-                );
-            }
-        }
+        let need = model_bytes(records);
+        self.emit(obs::Event::AllocFail {
+            space: obs::AllocSpace::Eden,
+            need,
+        });
         self.runtime
             .heap_mut()
             .mem_mut()
@@ -1385,17 +1225,31 @@ impl<R: MemoryRuntime> Engine<R> {
             c.checkpoint_bytes += bytes;
         });
         self.charge_native(records, AccessKind::Write);
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::CheckpointWrite { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::CheckpointWrite { rdd: rdd.0, bytes });
         self.crash_probe();
+    }
+
+    /// Whether [`Engine::try_restore_checkpoint`] could serve `rdd`
+    /// instead of its lineage: only `checkpoint()`-marked RDDs and wide
+    /// ones are ever snapshotted, and only under a recovery context.
+    fn may_restore_checkpoint(&self, rdd: RddId) -> bool {
+        let node = &self.rdds[rdd.0 as usize];
+        (node.checkpointed || node.is_wide())
+            && self.cluster.as_ref().is_some_and(|c| c.recovery.is_some())
+    }
+
+    /// Count a shuffle stage re-executed during replay, with the output
+    /// partitions it recomputed.
+    fn note_stage_recomputed(&mut self, owned_parts: u64) {
+        let Some(rec) = self.cluster.as_ref().and_then(|c| c.recovery.as_ref()) else {
+            return;
+        };
+        rec.slot.with(|c| {
+            if c.in_replay {
+                c.stages_recomputed += 1;
+                c.partitions_recomputed += owned_parts;
+            }
+        });
     }
 
     /// The structural ordinal of a wide node: how many wide nodes precede
@@ -1442,224 +1296,206 @@ impl<R: MemoryRuntime> Engine<R> {
             },
         );
         self.charge_native(&records, AccessKind::Read);
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::CheckpointRestore {
-                        rdd: rdd.0,
-                        bytes: entry.bytes,
-                    },
-                );
-            }
-        }
-        let persist_heap = !self.config.offheap_cache
-            && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &records, !persist_heap);
+        self.emit(obs::Event::CheckpointRestore {
+            rdd: rdd.0,
+            bytes: entry.bytes,
+        });
+        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd));
         Some(Rc::new(records))
     }
 
     // ------------------------------------------------------------------
-    // Record computation
+    // The exchange seam. Everything that differs between a run with peers
+    // and one without lives here (plus the barrier and the recovery hooks
+    // above): placement, the shuffle gather, and the action gather. A run
+    // without peers owns every partition, and its local records pass
+    // through unchanged — no wire round trip, no transfer costing.
     // ------------------------------------------------------------------
 
-    /// Produce the records of `rdd`, charging all memory traffic. The
-    /// result is shared: callers that only read (materialization, charge
-    /// accounting, bucket filling) never copy the vector.
-    fn compute(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
-        if self.rdds[rdd.0 as usize].materialized.is_some() {
-            return self.read_materialized(rdd);
-        }
-        if let Some(records) = self.disk_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
-            self.charge_disk(&records);
-            return records;
-        }
-        if let Some(records) = self.native_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
-            self.charge_native(&records, AccessKind::Read);
-            return records;
-        }
-        if let Some(records) = self.offheap_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
-            if self.offheap_region.block(rdd.0).is_none() {
-                // The schedule freed this block before its last read —
-                // results stay correct (the store keeps the records), but
-                // the premature free must be visible to tests.
-                self.stats.offheap_dead_reads += 1;
-            }
-            let device = self.offheap_device(rdd);
-            let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.runtime.heap_mut().mem_mut().access_device(
-                device,
-                AccessKind::Read,
-                bytes,
-                AccessProfile::mutator(),
-            );
-            return records;
-        }
-        if let Some(records) = self.region_store.get(&rdd) {
-            let records = Rc::clone(records);
-            self.emulate_legacy_copies(&records);
-            let device = match self.region_heap.block(rdd.0) {
-                Some(b) => b.device,
-                None if self.region_transients.contains(&rdd) => DeviceKind::Dram,
-                None => {
-                    // The schedule freed this arena before its last read —
-                    // results stay correct (the store keeps the records),
-                    // but the premature free must be visible to tests.
-                    self.stats.region_dead_reads += 1;
-                    self.offheap_device(rdd)
-                }
-            };
-            let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
-            self.runtime.heap_mut().mem_mut().access_device(
-                device,
-                AccessKind::Read,
-                bytes,
-                AccessProfile::mutator(),
-            );
-            return records;
-        }
-        if let Some(records) = self.try_restore_checkpoint(rdd) {
-            return records;
-        }
-        let op = self.rdds[rdd.0 as usize].op.clone();
-        match op {
-            RddOp::Source(name) => {
-                if self.cluster.is_some() {
-                    self.compute_source_cluster(rdd, &name)
-                } else {
-                    self.compute_source(&name)
-                }
-            }
-            RddOp::Transformed { transform, parents } => {
-                if transform.is_wide() {
-                    if self.cluster.is_some() {
-                        self.compute_shuffle_cluster(rdd, &transform, &parents)
-                    } else {
-                        self.compute_shuffle(rdd, &transform, &parents)
-                    }
-                } else if let Transform::Union = transform {
-                    let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
-                    out.extend(self.compute(parents[1]).iter().cloned());
-                    self.emulate_legacy_copies(&out);
-                    if self.cluster.is_some() {
-                        // The union's local flat is parent 0's partitions
-                        // followed by parent 1's, renumbered past parent
-                        // 0's global partition space (ownership inherits
-                        // parent placement, like Spark's UnionRDD).
-                        let m0 = self.part_meta[&parents[0]].clone();
-                        let m1 = self.part_meta[&parents[1]].clone();
-                        let mut gids = m0.gids;
-                        gids.extend(m1.gids.iter().map(|g| g + m0.global_parts));
-                        let mut lens = m0.lens;
-                        lens.extend_from_slice(&m1.lens);
-                        self.part_meta.insert(
-                            rdd,
-                            PartMeta {
-                                gids,
-                                lens,
-                                global_parts: m0.global_parts + m1.global_parts,
-                            },
-                        );
-                    }
-                    Rc::new(out)
-                } else if self.cluster.is_some() {
-                    // Cluster mode always executes stage-at-a-time so each
-                    // output partition's length is tracked; charges are
-                    // partition-independent, so slicing costs nothing.
-                    let input = self.compute(parents[0]);
-                    self.stream_cluster(rdd, parents[0], &input, &transform)
-                } else if self.config.fuse_narrow {
-                    self.compute_fused(rdd)
-                } else {
-                    let input = self.compute(parents[0]);
-                    self.stream(&input, &transform)
-                }
-            }
-        }
+    /// This executor's id and the executor count (`(0, 1)` without peers).
+    fn placement(&self) -> (u16, u16) {
+        self.cluster.as_ref().map_or((0, 1), |c| (c.exec, c.n_exec))
     }
 
-    /// Host-cost emulation hook: one record crossing an engine boundary.
-    /// Normally an `Rc` refcount bump; a structural copy when
-    /// [`EngineConfig::legacy_copies`] benchmarks the pre-rework engine.
-    fn copy_record(&self, r: &Payload) -> Payload {
-        if self.config.legacy_copies {
-            r.deep_clone()
-        } else {
-            r.clone()
-        }
-    }
-
-    /// With [`EngineConfig::legacy_copies`] set, burn the pre-rework
-    /// engine's per-record structural copy of `records` (copies are
-    /// dropped; only host CPU is spent). No-op otherwise.
-    fn emulate_legacy_copies(&self, records: &[Payload]) {
-        if self.config.legacy_copies {
-            for r in records {
-                std::hint::black_box(r.deep_clone());
-            }
-        }
-    }
-
-    fn compute_source(&mut self, name: &str) -> Rc<Vec<Payload>> {
-        let records = self.data.records_shared(name);
-        self.charge_disk(&records);
-        // Parsing allocates one short-lived young object per record.
-        for i in 0..records.len() {
-            let r = self.copy_record(&records[i]);
-            self.stream_alloc(r);
-        }
-        records
-    }
-
-    /// Cluster-mode source scan: partition the global input exactly as the
-    /// single-runtime engine would lay it out, keep the partitions owned
-    /// by this executor (`gid % n_exec == exec`), and charge disk and
-    /// parsing for the local records only. At `n_exec == 1` every
-    /// partition is local, so the records, charges, and layout match the
-    /// legacy path bit for bit.
-    fn compute_source_cluster(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster source outside cluster");
-        let global = self.data.records_shared(name);
+    /// Partition `global` with the canonical rule and keep the partitions
+    /// this executor owns (`gid % E == e`, in ascending order), with their
+    /// layout. Sources and shuffle outputs are placed this way.
+    fn own_partitions(&self, global: Rc<Vec<Payload>>) -> (Rc<Vec<Payload>>, PartMeta) {
+        let (exec, n_exec) = self.placement();
         let n_parts = self.config.partitions.clamp(1, global.len().max(1));
         let sizes = partition_sizes(global.len(), n_parts);
+        let global_parts = sizes.len() as u64;
+        let owned = |gid: usize| gid as u64 % u64::from(n_exec) == u64::from(exec);
+        let (gids, lens) = sizes
+            .iter()
+            .enumerate()
+            .filter(|(gid, _)| owned(*gid))
+            .map(|(gid, &len)| (gid as u64, len))
+            .unzip();
+        let meta = PartMeta {
+            gids,
+            lens,
+            global_parts,
+        };
+        if n_exec == 1 {
+            return (global, meta);
+        }
         let mut local = Vec::new();
-        let mut gids = Vec::new();
-        let mut lens = Vec::new();
         let mut off = 0usize;
         for (gid, &len) in sizes.iter().enumerate() {
-            if gid as u64 % u64::from(ctx.n_exec) == u64::from(ctx.exec) {
+            if owned(gid) {
                 local.extend_from_slice(&global[off..off + len]);
-                gids.push(gid as u64);
-                lens.push(len);
             }
             off += len;
         }
-        self.charge_disk(&local);
-        for rec in &local {
-            let r = self.copy_record(rec);
-            self.stream_alloc(r);
-        }
-        self.part_meta.insert(
-            rdd,
-            PartMeta {
-                gids,
-                lens,
-                global_parts: sizes.len() as u64,
-            },
+        (Rc::new(local), meta)
+    }
+
+    /// Shuffle gather: hand this executor's map-side records of each
+    /// parent to its peers and return the global map output per parent,
+    /// in global-partition order — the order a run without peers scans
+    /// its own records in. Charges the cross-executor transfer.
+    fn gather_shuffle(
+        &mut self,
+        rdd: RddId,
+        parents: &[RddId],
+        local: Vec<Rc<Vec<Payload>>>,
+    ) -> Vec<Rc<Vec<Payload>>> {
+        let Some(ctx) = self.cluster.clone() else {
+            return local;
+        };
+        let contrib = ShuffleContrib {
+            left: self.wire_parts(parents[0], &local[0]),
+            right: local.get(1).map(|recs| self.wire_parts(parents[1], recs)),
+        };
+        // Journaled deposit: begin (persist intent + digest), deposit,
+        // commit. The probes expose both torn windows — crashed before
+        // the deposit landed (replay rolls it forward) and after (the
+        // exchange validates the replayed digest and keeps the original).
+        self.journal_begin(
+            JournalOp::ShuffleDeposit,
+            u64::from(rdd.0),
+            contrib.digest(),
+            contrib.model_bytes(),
         );
-        Rc::new(local)
+        self.crash_probe();
+        let now = self.runtime.heap().mem().clock().now_ns();
+        let (contribs, t_bar) = ctx
+            .exchange
+            .gather_shuffle(ctx.exec, rdd.0, contrib, now)
+            .unwrap_or_else(|err| std::panic::panic_any(err));
+        self.sync_to(t_bar);
+        self.crash_probe();
+        self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
+        // Reassemble the global map output, remembering each partition's
+        // origin executor for the transfer accounting.
+        let left = merge_contrib_parts(&contribs, |c| Some(&c.left));
+        let right = merge_contrib_parts(&contribs, |c| c.right.as_deref());
+        let (xfer_records, xfer_bytes) = transfer_cost(&left, &right, ctx.exec, ctx.n_exec);
+        let xfer_ns =
+            self.config
+                .costs
+                .transfer_ns(self.config.transport, xfer_records, xfer_bytes);
+        if xfer_ns > 0.0 {
+            self.runtime.heap_mut().mem_mut().compute(xfer_ns);
+        }
+        if xfer_bytes > 0 && self.config.transport == ShuffleTransport::SharedRegion {
+            // Colocated fast path taken: these bytes moved at memory
+            // bandwidth with zero serde. E=1 transfers nothing, so this
+            // never fires there.
+            self.stats.fastpath_bytes += xfer_bytes;
+            self.emit(obs::Event::ShuffleFastPath { bytes: xfer_bytes });
+        }
+        let flat = |parts: Vec<(u64, u16, Vec<Payload>)>| {
+            Rc::new(parts.into_iter().flat_map(|(_, _, recs)| recs).collect())
+        };
+        let mut global = vec![flat(left)];
+        if parents.len() > 1 {
+            global.push(flat(right));
+        }
+        global
+    }
+
+    /// Action gather: contribute this executor's local result and merge
+    /// every executor's into the global one — identically on every
+    /// executor, so the driver can take any of them. The cross-executor
+    /// merge of reduce partials is uncharged driver work (a parallel-
+    /// reduce tree root).
+    fn gather_action(
+        &mut self,
+        rdd: RddId,
+        action: &ActionKind,
+        local: ActionResult,
+    ) -> ActionResult {
+        let Some(ctx) = self.cluster.clone() else {
+            return local;
+        };
+        let contrib = match &local {
+            ActionResult::Count(n) => ActionContrib::Count(*n),
+            ActionResult::Collected(records) => {
+                ActionContrib::Collect(self.wire_parts(rdd, records))
+            }
+            ActionResult::Reduced(p) => ActionContrib::Reduce(p.as_ref().map(WirePayload::from)),
+        };
+        let seq = self.action_seq;
+        self.action_seq += 1;
+        // Journaled deposit (see `gather_shuffle` for the protocol).
+        self.journal_begin(JournalOp::ActionDeposit, seq, contrib.digest(), 0);
+        self.crash_probe();
+        let now = self.runtime.heap().mem().clock().now_ns();
+        let (contribs, t_bar) = ctx
+            .exchange
+            .gather_action(ctx.exec, seq, contrib, now)
+            .unwrap_or_else(|err| std::panic::panic_any(err));
+        self.sync_to(t_bar);
+        self.crash_probe();
+        self.journal_commit(JournalOp::ActionDeposit, seq);
+        fn mismatch(c: &ActionContrib) -> ! {
+            panic!("mismatched action contribution {c:?}")
+        }
+        match action {
+            ActionKind::Count => ActionResult::Count(
+                contribs
+                    .iter()
+                    .map(|c| match c {
+                        ActionContrib::Count(n) => *n,
+                        other => mismatch(other),
+                    })
+                    .sum(),
+            ),
+            ActionKind::Collect => {
+                let mut parts: Vec<(u64, &[WirePayload])> = contribs
+                    .iter()
+                    .flat_map(|c| match c {
+                        ActionContrib::Collect(parts) => {
+                            parts.iter().map(|(gid, recs)| (*gid, recs.as_slice()))
+                        }
+                        other => mismatch(other),
+                    })
+                    .collect();
+                parts.sort_by_key(|(gid, _)| *gid);
+                ActionResult::Collected(
+                    parts
+                        .into_iter()
+                        .flat_map(|(_, recs)| recs.iter().map(Payload::from))
+                        .collect(),
+                )
+            }
+            ActionKind::Reduce(f) => {
+                let partials: Vec<Payload> = contribs
+                    .iter()
+                    .filter_map(|c| match c {
+                        ActionContrib::Reduce(p) => p.as_ref().map(Payload::from),
+                        other => mismatch(other),
+                    })
+                    .collect();
+                let combine = match self.fns.get(*f) {
+                    UserFn::Reduce(f) => f,
+                    other => panic!("expected a reduce function, got {other:?}"),
+                };
+                ActionResult::Reduced(partials.into_iter().reduce(|a, b| combine(&a, &b)))
+            }
+        }
     }
 
     /// Convert this executor's local records of `rdd` into their wire form
@@ -1683,16 +1519,121 @@ impl<R: MemoryRuntime> Engine<R> {
         out
     }
 
+    // ------------------------------------------------------------------
+    // Record computation
+    // ------------------------------------------------------------------
+
+    /// Produce this executor's records of `rdd`, charging all memory
+    /// traffic; their partition layout is in `part_meta` afterwards. The
+    /// result is shared: callers that only read (materialization, charge
+    /// accounting, bucket filling) never copy the vector.
+    fn compute(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+        if self.rdds[rdd.0 as usize].materialized.is_some() {
+            return self.read_materialized(rdd);
+        }
+        if let Some(records) = self.disk_store.get(&rdd) {
+            let records = Rc::clone(records);
+            self.charge_disk(&records);
+            return records;
+        }
+        if let Some(records) = self.native_store.get(&rdd) {
+            let records = Rc::clone(records);
+            self.charge_native(&records, AccessKind::Read);
+            return records;
+        }
+        if let Some(records) = self.offheap_store.get(&rdd) {
+            let records = Rc::clone(records);
+            if self.offheap_region.block(rdd.0).is_none() {
+                // The schedule freed this block before its last read —
+                // results stay correct (the store keeps the records), but
+                // the premature free must be visible to tests.
+                self.stats.offheap_dead_reads += 1;
+            }
+            let device = self.offheap_device(rdd);
+            self.charge_device(device, AccessKind::Read, model_bytes(&records));
+            return records;
+        }
+        if let Some(records) = self.region_store.get(&rdd) {
+            let records = Rc::clone(records);
+            let device = match self.region_heap.block(rdd.0) {
+                Some(b) => b.device,
+                None if self.region_transients.contains(&rdd) => DeviceKind::Dram,
+                None => {
+                    // The schedule freed this arena before its last read —
+                    // results stay correct (the store keeps the records),
+                    // but the premature free must be visible to tests.
+                    self.stats.region_dead_reads += 1;
+                    self.offheap_device(rdd)
+                }
+            };
+            self.charge_device(device, AccessKind::Read, model_bytes(&records));
+            return records;
+        }
+        if let Some(records) = self.try_restore_checkpoint(rdd) {
+            return records;
+        }
+        let op = self.rdds[rdd.0 as usize].op.clone();
+        match op {
+            RddOp::Source(name) => self.compute_source(rdd, &name),
+            RddOp::Transformed { transform, parents } => {
+                if transform.is_wide() {
+                    self.compute_shuffle(rdd, &transform, &parents)
+                } else if let Transform::Union = transform {
+                    self.compute_union(rdd, &parents)
+                } else if self.config.fuse_narrow {
+                    self.compute_fused(rdd)
+                } else {
+                    let input = self.compute(parents[0]);
+                    self.stream(rdd, parents[0], &input, &transform)
+                }
+            }
+        }
+    }
+
+    /// Source scan: partition the input, keep this executor's partitions,
+    /// and charge disk and parsing for them.
+    fn compute_source(&mut self, rdd: RddId, name: &str) -> Rc<Vec<Payload>> {
+        let (records, meta) = self.own_partitions(self.data.records_shared(name));
+        self.charge_disk(&records);
+        // Parsing allocates one short-lived young object per record.
+        for r in records.iter() {
+            self.stream_alloc(r.clone());
+        }
+        self.part_meta.insert(rdd, meta);
+        records
+    }
+
+    /// A union's local records are parent 0's partitions followed by
+    /// parent 1's, renumbered past parent 0's global partition space
+    /// (ownership inherits parent placement, like Spark's UnionRDD).
+    fn compute_union(&mut self, rdd: RddId, parents: &[RddId]) -> Rc<Vec<Payload>> {
+        let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
+        out.extend(self.compute(parents[1]).iter().cloned());
+        let m0 = self.part_meta[&parents[0]].clone();
+        let m1 = &self.part_meta[&parents[1]];
+        let mut gids = m0.gids;
+        gids.extend(m1.gids.iter().map(|g| g + m0.global_parts));
+        let mut lens = m0.lens;
+        lens.extend_from_slice(&m1.lens);
+        let meta = PartMeta {
+            gids,
+            lens,
+            global_parts: m0.global_parts + m1.global_parts,
+        };
+        self.part_meta.insert(rdd, meta);
+        Rc::new(out)
+    }
+
     /// Fused execution of the maximal narrow chain ending at `rdd`: every
     /// record flows through the whole chain depth-first, so intermediate
     /// stages never materialize a `Vec<Payload>` — only the chain's final
-    /// output is collected. Simulated costs are *not* charged during the
-    /// host-side pass; each stage logs its charge events (one CPU tick per
-    /// input record, one young allocation per output record, in record
-    /// order) and the logs are replayed stage-by-stage afterwards. The
-    /// replayed sequence is exactly what the unfused engine would have
-    /// issued, so simulated time, energy, and GC scheduling are
-    /// bit-identical to stage-at-a-time execution.
+    /// output is collected, partition by partition. Simulated costs are
+    /// *not* charged during the host-side pass; each stage logs its charge
+    /// events (one CPU tick per input record, one young allocation per
+    /// output record, in record order) and the logs are replayed
+    /// stage-by-stage afterwards. The replayed sequence is exactly what
+    /// the unfused engine would have issued, so simulated time, energy,
+    /// and GC scheduling are bit-identical to stage-at-a-time execution.
     fn compute_fused(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
         let (base, stages) = self.narrow_chain(rdd);
         let input = self.compute(base);
@@ -1701,9 +1642,17 @@ impl<R: MemoryRuntime> Engine<R> {
         logs[0].outputs_per_input.reserve(input.len());
         logs[0].alloc_bytes.reserve(input.len());
         let mut out = Vec::with_capacity(input.len());
-        for r in input.iter() {
-            drive_chain(&self.fns, &stages, r, &mut logs, &mut out);
+        let mut lens = Vec::new();
+        let mut off = 0usize;
+        for &len in &self.part_meta[&base].lens {
+            let before = out.len();
+            for r in &input[off..off + len] {
+                drive_chain(&self.fns, &stages, r, &mut logs, &mut out);
+            }
+            lens.push(out.len() - before);
+            off += len;
         }
+        debug_assert_eq!(off, input.len(), "partition metadata out of sync");
         for log in &logs {
             let mut next = 0usize;
             for &n_out in &log.outputs_per_input {
@@ -1717,25 +1666,21 @@ impl<R: MemoryRuntime> Engine<R> {
                 next += n_out as usize;
             }
         }
+        self.insert_narrow_meta(rdd, base, lens);
         Rc::new(out)
     }
 
     /// The maximal chain of fusable narrow transformations ending at
     /// `rdd`, bottom-up, plus the base RDD feeding it. Fusion stops at
-    /// wide nodes, unions, sources, and anything already materialized or
-    /// stored — those produce their records through their own paths.
+    /// wide nodes, unions, sources, anything already materialized or
+    /// stored, and anything a checkpoint could serve — those produce
+    /// their records through their own paths.
     fn narrow_chain(&self, rdd: RddId) -> (RddId, Vec<Transform>) {
         let mut stages = Vec::new();
         let mut cur = rdd;
         loop {
             let node = &self.rdds[cur.0 as usize];
-            if cur != rdd
-                && (node.materialized.is_some()
-                    || self.disk_store.contains_key(&cur)
-                    || self.native_store.contains_key(&cur)
-                    || self.offheap_store.contains_key(&cur)
-                    || self.region_store.contains_key(&cur))
-            {
+            if cur != rdd && (self.is_materialized(cur) || self.may_restore_checkpoint(cur)) {
                 break;
             }
             match &node.op {
@@ -1752,89 +1697,53 @@ impl<R: MemoryRuntime> Engine<R> {
         (cur, stages)
     }
 
-    /// Legacy stage-at-a-time streaming: apply one narrow transformation
-    /// to every input record, allocating a short-lived young object per
-    /// output record (the streaming behaviour of Section 2).
-    fn stream(&mut self, input: &[Payload], transform: &Transform) -> Rc<Vec<Payload>> {
-        let mut out = Vec::with_capacity(input.len());
-        self.stream_into(input, transform, &mut out);
-        Rc::new(out)
-    }
-
-    /// The streaming loop of [`Engine::stream`], appending to `out` so
-    /// cluster mode can run it once per local partition (tracking each
-    /// partition's output length) while charging the exact sequence one
-    /// whole-input pass would.
-    fn stream_into(&mut self, input: &[Payload], transform: &Transform, out: &mut Vec<Payload>) {
-        let legacy = self.config.legacy_copies;
-        let region_on = self.config.region_alloc;
-        for r in input {
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.record_cpu_ns);
-            let (runtime, stats, region) =
-                (&mut self.runtime, &mut self.stats, &mut self.region_heap);
-            let roots = &self.roots;
-            apply_narrow(&self.fns, transform, r, &mut |p: Payload| {
-                stats.records_streamed += 1;
-                let stored = if legacy { p.deep_clone() } else { p.clone() };
-                if region_on && region.stage_open() {
-                    // Stage-scoped scratch: the record bumps the stage
-                    // arena, dies wholesale at stage close, and never
-                    // enters the young generation (no GC tracing).
-                    let bytes = runtime.heap().tuple_footprint(stored.model_bytes());
-                    region.stage_bump(bytes);
-                    stats.region_stage_bytes += bytes;
-                    runtime.heap_mut().mem_mut().access_device(
-                        DeviceKind::Dram,
-                        AccessKind::Write,
-                        bytes,
-                        AccessProfile::mutator(),
-                    );
-                } else {
-                    runtime.alloc_record(roots, ObjKind::Tuple, stored);
-                }
-                out.push(p);
-            });
-        }
-    }
-
-    /// Cluster-mode narrow stage: stream each local partition through the
-    /// transformation separately, recording the output partition lengths.
-    /// Narrow transformations are element-wise, so the charge sequence is
-    /// identical to one pass over the whole local flat.
-    fn stream_cluster(
+    /// Stage-at-a-time streaming: apply one narrow transformation to
+    /// every input record, allocating a short-lived young object per
+    /// output record (the streaming behaviour of Section 2). Each input
+    /// partition streams separately so its output length is tracked;
+    /// transformations are element-wise, so the charge sequence is that
+    /// of one pass over the whole input.
+    fn stream(
         &mut self,
         rdd: RddId,
         parent: RddId,
         input: &[Payload],
         transform: &Transform,
     ) -> Rc<Vec<Payload>> {
-        let meta = self
-            .part_meta
-            .get(&parent)
-            .cloned()
-            .expect("cluster mode: parent computed without partition metadata");
         let mut out = Vec::with_capacity(input.len());
-        let mut lens = Vec::with_capacity(meta.lens.len());
+        let mut lens = Vec::new();
         let mut off = 0usize;
-        for &len in &meta.lens {
+        for len in self.part_meta[&parent].lens.clone() {
             let before = out.len();
-            self.stream_into(&input[off..off + len], transform, &mut out);
+            for r in &input[off..off + len] {
+                self.runtime
+                    .heap_mut()
+                    .mem_mut()
+                    .compute(self.config.record_cpu_ns);
+                let first = out.len();
+                apply_narrow(&self.fns, transform, r, &mut |p| out.push(p));
+                for p in &out[first..] {
+                    self.stream_alloc(p.clone());
+                }
+            }
             lens.push(out.len() - before);
             off += len;
         }
         debug_assert_eq!(off, input.len(), "partition metadata out of sync");
-        self.part_meta.insert(
-            rdd,
-            PartMeta {
-                gids: meta.gids,
-                lens,
-                global_parts: meta.global_parts,
-            },
-        );
+        self.insert_narrow_meta(rdd, parent, lens);
         Rc::new(out)
+    }
+
+    /// Record the layout of a narrow output: the input's partitions, with
+    /// the output lengths the narrow pass counted.
+    fn insert_narrow_meta(&mut self, rdd: RddId, input: RddId, lens: Vec<usize>) {
+        let parent = &self.part_meta[&input];
+        let meta = PartMeta {
+            gids: parent.gids.clone(),
+            lens,
+            global_parts: parent.global_parts,
+        };
+        self.part_meta.insert(rdd, meta);
     }
 
     /// Allocate (and immediately abandon) the young object modelling one
@@ -1846,18 +1755,17 @@ impl<R: MemoryRuntime> Engine<R> {
             let bytes = self.runtime.heap().tuple_footprint(record.model_bytes());
             self.region_heap.stage_bump(bytes);
             self.stats.region_stage_bytes += bytes;
-            self.runtime.heap_mut().mem_mut().access_device(
-                DeviceKind::Dram,
-                AccessKind::Write,
-                bytes,
-                AccessProfile::mutator(),
-            );
+            self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         } else {
             self.runtime
                 .alloc_record(&self.roots, ObjKind::Tuple, record);
         }
     }
 
+    /// A wide transformation: spill this executor's map-side partitions,
+    /// exchange them at the shuffle gather, run the reduce side over the
+    /// global buckets (replicated host work, deterministic on every
+    /// executor), and keep the output partitions this executor owns.
     fn compute_shuffle(
         &mut self,
         rdd: RddId,
@@ -1870,206 +1778,59 @@ impl<R: MemoryRuntime> Engine<R> {
         // The flag covers only this shuffle's direct input chains — a
         // nested shuffle's own inputs are scanned sequentially again.
         let saved_depth = std::mem::take(&mut self.random_read_depth);
-        let is_join = matches!(transform, Transform::Join);
-        if is_join {
-            self.random_read_depth = 1;
-        }
-        // Map side: bucket parent records and write shuffle files.
-        let left_records = self.compute(parents[0]);
-        self.charge_shuffle(&left_records);
-        let mut left = Buckets::new();
-        for r in left_records.iter() {
-            left.add(self.copy_record(r));
-        }
-        let right = if parents.len() > 1 {
-            let right_records = self.compute(parents[1]);
-            self.charge_shuffle(&right_records);
-            let mut b = Buckets::new();
-            for r in right_records.iter() {
-                b.add(self.copy_record(r));
-            }
-            Some(b)
-        } else {
-            None
-        };
-        self.random_read_depth = saved_depth;
-        // The consuming stage starts by reading the shuffle files.
-        self.runtime.stage_boundary(&self.roots);
-        let out = reduce_side(transform, &self.fns, &left, right.as_ref());
-        for _ in &out {
-            self.runtime
-                .heap_mut()
-                .mem_mut()
-                .compute(self.config.record_cpu_ns);
-        }
-        self.charge_shuffle(&out);
-        // The ShuffledRDD is materialized immediately — it holds data read
-        // freshly from shuffle files (Section 2). It dies with the current
-        // evaluation unless this node is itself a heap-persisted RDD, in
-        // which case the shuffle output *is* the persisted materialization.
-        let persist_heap = !self.config.offheap_cache
-            && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &out, !persist_heap);
-        Rc::new(out)
-    }
-
-    /// Cluster-mode shuffle: spill the local map-side partitions, all-
-    /// gather every executor's spill through the exchange, charge the
-    /// cross-executor transfer, then run the reduce side over the global
-    /// buckets (replicated host work, deterministic on every executor) and
-    /// keep only the output partitions this executor owns. At
-    /// `n_exec == 1` nothing crosses the network and the charge sequence
-    /// collapses to the single-runtime [`Engine::compute_shuffle`].
-    fn compute_shuffle_cluster(
-        &mut self,
-        rdd: RddId,
-        transform: &Transform,
-        parents: &[RddId],
-    ) -> Rc<Vec<Payload>> {
-        let ctx = self
-            .cluster
-            .clone()
-            .expect("cluster shuffle outside cluster");
-        self.stats.shuffles += 1;
-        let saved_depth = std::mem::take(&mut self.random_read_depth);
         if matches!(transform, Transform::Join) {
             self.random_read_depth = 1;
         }
         // Map side: compute the local slices of each parent and write the
-        // local shuffle files, exactly as the single-runtime engine does.
-        let left_records = self.compute(parents[0]);
-        self.charge_shuffle(&left_records);
-        let left_wire = self.wire_parts(parents[0], &left_records);
-        let right_wire = if parents.len() > 1 {
-            let right_records = self.compute(parents[1]);
-            self.charge_shuffle(&right_records);
-            Some(self.wire_parts(parents[1], &right_records))
-        } else {
-            None
-        };
+        // local shuffle files.
+        let mut map_side = Vec::with_capacity(parents.len());
+        for &parent in parents {
+            let records = self.compute(parent);
+            self.charge_shuffle(&records);
+            map_side.push(records);
+        }
         self.random_read_depth = saved_depth;
-        let contrib = ShuffleContrib {
-            left: left_wire,
-            right: right_wire,
-        };
-        // Journaled deposit (see `run_action_cluster` for the protocol).
-        let deposit_bytes: u64 = contrib
-            .left
-            .iter()
-            .chain(contrib.right.iter().flatten())
-            .flat_map(|(_, recs)| recs.iter())
-            .map(WirePayload::model_bytes)
-            .sum();
-        self.journal_begin(
-            JournalOp::ShuffleDeposit,
-            u64::from(rdd.0),
-            contrib.digest(),
-            deposit_bytes,
-        );
-        self.crash_probe();
-        let now = self.runtime.heap().mem().clock().now_ns();
-        let (contribs, t_bar) = ctx
-            .exchange
-            .gather_shuffle(ctx.exec, rdd.0, contrib, now)
-            .unwrap_or_else(|err| std::panic::panic_any(err));
-        self.sync_to(t_bar);
-        self.crash_probe();
-        self.journal_commit(JournalOp::ShuffleDeposit, u64::from(rdd.0));
-        // Reassemble the global map output, remembering each partition's
-        // origin executor for the transfer accounting.
-        let left_global = merge_contrib_parts(&contribs, |c| Some(&c.left));
-        let right_global = merge_contrib_parts(&contribs, |c| c.right.as_deref());
-        let (xfer_records, xfer_bytes) =
-            transfer_cost(&left_global, &right_global, ctx.exec, ctx.n_exec);
-        let xfer_ns =
-            self.config
-                .costs
-                .transfer_ns(self.config.transport, xfer_records, xfer_bytes);
-        if xfer_ns > 0.0 {
-            self.runtime.heap_mut().mem_mut().compute(xfer_ns);
-        }
-        if xfer_bytes > 0 && self.config.transport == ShuffleTransport::SharedRegion {
-            // Colocated fast path taken: these bytes moved at memory
-            // bandwidth with zero serde. E=1 transfers nothing, so this
-            // never fires there and the single-runtime identity holds.
-            self.stats.fastpath_bytes += xfer_bytes;
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::ShuffleFastPath { bytes: xfer_bytes },
-                );
-            }
-        }
+        let global = self.gather_shuffle(rdd, parents, map_side);
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
-        let mut left_buckets = Buckets::new();
-        for (_, _, recs) in &left_global {
-            for r in recs {
-                left_buckets.add(self.copy_record(r));
-            }
-        }
-        let right_buckets = if parents.len() > 1 {
-            let mut b = Buckets::new();
-            for (_, _, recs) in &right_global {
-                for r in recs {
-                    b.add(self.copy_record(r));
+        let buckets: Vec<Buckets> = global
+            .iter()
+            .map(|records| {
+                let mut b = Buckets::new();
+                for r in records.iter() {
+                    b.add(r.clone());
                 }
-            }
-            Some(b)
-        } else {
-            None
-        };
-        let out_global = reduce_side(transform, &self.fns, &left_buckets, right_buckets.as_ref());
-        // Keep the output partitions this executor owns (`gid % E == e`,
-        // the same placement rule sources use).
-        let n_parts = self.config.partitions.clamp(1, out_global.len().max(1));
-        let sizes = partition_sizes(out_global.len(), n_parts);
-        let mut local = Vec::new();
-        let mut gids = Vec::new();
-        let mut lens = Vec::new();
-        let mut off = 0usize;
-        for (gid, &len) in sizes.iter().enumerate() {
-            if gid as u64 % u64::from(ctx.n_exec) == u64::from(ctx.exec) {
-                local.extend_from_slice(&out_global[off..off + len]);
-                gids.push(gid as u64);
-                lens.push(len);
-            }
-            off += len;
-        }
-        for _ in &local {
+                b
+            })
+            .collect();
+        let out = reduce_side(transform, &self.fns, &buckets[0], buckets.get(1));
+        let (records, meta) = self.own_partitions(Rc::new(out));
+        for _ in records.iter() {
             self.runtime
                 .heap_mut()
                 .mem_mut()
                 .compute(self.config.record_cpu_ns);
         }
-        self.charge_shuffle(&local);
-        let owned_parts = gids.len() as u64;
+        self.charge_shuffle(&records);
         // Meta must precede materialization: the checkpoint hook inside
         // `materialize_into_heap` snapshots by global partition id.
-        self.part_meta.insert(
-            rdd,
-            PartMeta {
-                gids,
-                lens,
-                global_parts: sizes.len() as u64,
-            },
-        );
-        if let Some(rec) = ctx.recovery.as_ref() {
-            rec.slot.with(|c| {
-                if c.in_replay {
-                    c.stages_recomputed += 1;
-                    c.partitions_recomputed += owned_parts;
-                }
-            });
-        }
-        let persist_heap = !self.config.offheap_cache
+        self.note_stage_recomputed(meta.gids.len() as u64);
+        self.part_meta.insert(rdd, meta);
+        // The ShuffledRDD is materialized immediately — it holds data read
+        // freshly from shuffle files (Section 2). It dies with the current
+        // evaluation unless this node is itself a heap-persisted RDD, in
+        // which case the shuffle output *is* the persisted materialization.
+        self.materialize_into_heap(rdd, &records, !self.persists_in_heap(rdd));
+        records
+    }
+
+    /// Whether `rdd` is persisted into the traced heap (not the off-heap
+    /// region or a region arena): its shuffle output or checkpoint
+    /// restore is then its long-lived materialization.
+    fn persists_in_heap(&self, rdd: RddId) -> bool {
+        !self.config.offheap_cache
             && !self.config.region_alloc
-            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap());
-        self.materialize_into_heap(rdd, &local, !persist_heap);
-        Rc::new(local)
+            && matches!(self.rdds[rdd.0 as usize].persisted, Some(l) if l.uses_heap())
     }
 
     fn read_materialized(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
@@ -2088,9 +1849,8 @@ impl<R: MemoryRuntime> Engine<R> {
                 .heap_mut()
                 .mem_mut()
                 .compute(self.config.costs.serde_ns(records.len() as u64));
-            for i in 0..records.len() {
-                let r = self.copy_record(&records[i]);
-                self.stream_alloc(r);
+            for r in records.iter() {
+                self.stream_alloc(r.clone());
             }
             return records;
         }
@@ -2114,12 +1874,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 }
                 // Shallow: the payload's contents stay shared with the
                 // heap object.
-                let p = self.runtime.heap().obj(t).payload.clone();
-                out.push(if self.config.legacy_copies {
-                    p.deep_clone()
-                } else {
-                    p
-                });
+                out.push(self.runtime.heap().obj(t).payload.clone());
             }
         }
         Rc::new(out)
@@ -2130,7 +1885,7 @@ impl<R: MemoryRuntime> Engine<R> {
     // ------------------------------------------------------------------
 
     fn charge_disk(&mut self, records: &[Payload]) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        let bytes = model_bytes(records);
         self.runtime
             .heap_mut()
             .mem_mut()
@@ -2138,29 +1893,28 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     fn charge_shuffle(&mut self, records: &[Payload]) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        let bytes = model_bytes(records);
         self.stats.shuffle_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(mem.clock().now_ns(), &obs::Event::ShuffleSpill { bytes });
-            }
-        }
+        self.emit(obs::Event::ShuffleSpill { bytes });
         self.runtime
             .heap_mut()
             .mem_mut()
             .compute(self.config.costs.disk_ns(bytes));
     }
 
-    fn charge_native(&mut self, records: &[Payload], kind: AccessKind) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+    /// Charge one mutator access of `bytes` on `device`.
+    fn charge_device(&mut self, device: DeviceKind, kind: AccessKind, bytes: u64) {
         self.runtime.heap_mut().mem_mut().access_device(
-            DeviceKind::Nvm,
+            device,
             kind,
             bytes,
             AccessProfile::mutator(),
         );
+    }
+
+    fn charge_native(&mut self, records: &[Payload], kind: AccessKind) {
+        let bytes = model_bytes(records);
+        self.charge_device(DeviceKind::Nvm, kind, bytes);
     }
 
     // ------------------------------------------------------------------
@@ -2195,7 +1949,7 @@ impl<R: MemoryRuntime> Engine<R> {
     /// sees the block — no heap objects, no roots, no cards — and the
     /// records are never serialized.
     fn persist_offheap(&mut self, rdd: RddId, records: Rc<Vec<Payload>>) {
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        let bytes = model_bytes(&records);
         let device = self.offheap_device(rdd);
         let step = self.lifetime_cur;
         let block = self
@@ -2214,24 +1968,10 @@ impl<R: MemoryRuntime> Engine<R> {
         self.plan_blocks.push(rdd);
         self.offheap_region
             .alloc(rdd.0, bytes, device, block.retain);
-        self.runtime.heap_mut().mem_mut().access_device(
-            device,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(device, AccessKind::Write, bytes);
         self.stats.offheap_allocs += 1;
         self.stats.offheap_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::OffHeapAlloc { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::OffHeapAlloc { rdd: rdd.0, bytes });
         // A wide node reaches here already carrying its shuffle's
         // transient materialization, which ran both hooks; only a
         // never-materialized (narrow) target still needs them.
@@ -2267,7 +2007,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.persist_order.push(rdd);
             return;
         };
-        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        let bytes = model_bytes(&records);
         let device = self.offheap_device(rdd);
         assert_eq!(
             block.id as usize,
@@ -2277,24 +2017,10 @@ impl<R: MemoryRuntime> Engine<R> {
         self.plan_blocks.push(rdd);
         self.region_heap
             .alloc_block(rdd.0, bytes, device, block.class, block.retain);
-        self.runtime.heap_mut().mem_mut().access_device(
-            device,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(device, AccessKind::Write, bytes);
         self.stats.region_allocs += 1;
         self.stats.region_bytes += bytes;
-        {
-            let mem = self.runtime.heap().mem();
-            let observer = mem.observer();
-            if observer.enabled() {
-                observer.emit(
-                    mem.clock().now_ns(),
-                    &obs::Event::RegionAlloc { rdd: rdd.0, bytes },
-                );
-            }
-        }
+        self.emit(obs::Event::RegionAlloc { rdd: rdd.0, bytes });
         // A wide node reaches here as a stage transient that already ran
         // both hooks; drop its transient marking so the stage close keeps
         // the store entry. A never-materialized (narrow) target still
@@ -2323,12 +2049,7 @@ impl<R: MemoryRuntime> Engine<R> {
             .sum();
         self.region_heap.stage_bump(bytes);
         self.stats.region_stage_bytes += bytes;
-        self.runtime.heap_mut().mem_mut().access_device(
-            DeviceKind::Dram,
-            AccessKind::Write,
-            bytes,
-            AccessProfile::mutator(),
-        );
+        self.charge_device(DeviceKind::Dram, AccessKind::Write, bytes);
         self.region_store.insert(rdd, Rc::new(records.to_vec()));
         self.region_transients.push(rdd);
         self.stats.materializations += 1;
@@ -2379,24 +2100,13 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Count one off-heap block free and emit its observation.
     fn note_offheap_free(&mut self, rdd: u32, bytes: u64) {
         self.stats.offheap_frees += 1;
-        let mem = self.runtime.heap().mem();
-        let observer = mem.observer();
-        if observer.enabled() {
-            observer.emit(
-                mem.clock().now_ns(),
-                &obs::Event::OffHeapFree { rdd, bytes },
-            );
-        }
+        self.emit(obs::Event::OffHeapFree { rdd, bytes });
     }
 
     /// Count one RDD-lifetime arena free and emit its observation.
     fn note_region_free(&mut self, rdd: u32, bytes: u64) {
         self.stats.region_frees += 1;
-        let mem = self.runtime.heap().mem();
-        let observer = mem.observer();
-        if observer.enabled() {
-            observer.emit(mem.clock().now_ns(), &obs::Event::RegionFree { rdd, bytes });
-        }
+        self.emit(obs::Event::RegionFree { rdd, bytes });
     }
 
     fn apply_reduce(&mut self, f: FuncId, a: &Payload, b: &Payload) -> Payload {
@@ -2421,6 +2131,11 @@ impl<R: MemoryRuntime> Engine<R> {
 struct StageLog {
     outputs_per_input: Vec<u32>,
     alloc_bytes: Vec<u64>,
+}
+
+/// Total modelled bytes of `records`.
+fn model_bytes(records: &[Payload]) -> u64 {
+    records.iter().map(Payload::model_bytes).sum()
 }
 
 /// A payload with exactly the given modelled size, standing in for a
@@ -2521,75 +2236,6 @@ fn apply_narrow(fns: &FnTable, transform: &Transform, r: &Payload, sink: &mut dy
     }
 }
 
-/// Collect one side's partitions from every executor's contribution as
-/// `(global partition id, origin executor, records)` tuples, ascending by
-/// partition id — the order the single-runtime engine would scan them in.
-fn journal_kind(op: JournalOp) -> obs::JournalKind {
-    match op {
-        JournalOp::ShuffleDeposit => obs::JournalKind::Shuffle,
-        JournalOp::ActionDeposit => obs::JournalKind::Action,
-        JournalOp::CheckpointSave => obs::JournalKind::Checkpoint,
-    }
-}
-
-fn merge_contrib_parts(
-    contribs: &[ShuffleContrib],
-    side: impl Fn(&ShuffleContrib) -> Option<&[(u64, Vec<WirePayload>)]>,
-) -> Vec<(u64, u16, Vec<Payload>)> {
-    let mut out = Vec::new();
-    for (origin, c) in contribs.iter().enumerate() {
-        if let Some(parts) = side(c) {
-            for (gid, recs) in parts {
-                out.push((
-                    *gid,
-                    origin as u16,
-                    recs.iter().map(Payload::from).collect(),
-                ));
-            }
-        }
-    }
-    out.sort_by_key(|(gid, _, _)| *gid);
-    out
-}
-
-/// Cross-executor shuffle traffic chargeable to executor `exec`: records
-/// it sends to reducers on other executors plus records it receives from
-/// other executors' map sides. Reducer ownership follows key
-/// first-appearance order, round-robin across executors — the same
-/// modulo placement rule partitions use. With one executor every record
-/// stays put and the cost is exactly zero.
-fn transfer_cost(
-    left: &[(u64, u16, Vec<Payload>)],
-    right: &[(u64, u16, Vec<Payload>)],
-    exec: u16,
-    n_exec: u16,
-) -> (u64, u64) {
-    let mut key_bucket: HashMap<Key, usize> = HashMap::new();
-    for (_, _, recs) in left.iter().chain(right.iter()) {
-        for r in recs {
-            let next = key_bucket.len();
-            key_bucket.entry(r.shuffle_key()).or_insert(next);
-        }
-    }
-    let mut records = 0u64;
-    let mut bytes = 0u64;
-    for (_, origin, recs) in left.iter().chain(right.iter()) {
-        for r in recs {
-            let reducer = (key_bucket[&r.shuffle_key()] % n_exec as usize) as u16;
-            let crossing = if *origin == exec {
-                reducer != exec
-            } else {
-                reducer == exec
-            };
-            if crossing {
-                records += 1;
-                bytes += r.model_bytes();
-            }
-        }
-    }
-    (records, bytes)
-}
-
 /// Split `n` records into `parts` chunk lengths (the last may be short).
 /// This is the engine's canonical partitioning rule: materialized heap
 /// layouts, cluster source placement, and shuffle-output placement all
@@ -2607,15 +2253,4 @@ pub fn partition_sizes(n: usize, parts: usize) -> Vec<usize> {
         left -= take;
     }
     out
-}
-
-/// Statements in a block, counted the way the pre-order numbering does.
-pub(crate) fn count_stmts(stmts: &[Stmt]) -> u32 {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Loop { body, .. } => 1 + count_stmts(body),
-            _ => 1,
-        })
-        .sum()
 }

@@ -248,3 +248,44 @@ fn invalid_config_is_an_error_not_a_panic() {
     };
     assert!(!config_err.message().is_empty());
 }
+
+/// A program whose only action reads a variable no statement binds.
+fn use_before_def_program() -> (
+    sparklang::Program,
+    sparklang::FnTable,
+    sparklet::DataRegistry,
+) {
+    let mut b = sparklang::ProgramBuilder::new("use-before-def");
+    let src = b.source("nums");
+    let xs = b.bind("xs", src.distinct());
+    b.action(xs, sparklang::ActionKind::Count);
+    let (mut program, fns) = b.finish();
+    program.stmts.remove(0); // drop the bind
+    let mut data = sparklet::DataRegistry::new();
+    data.register("nums", (0..64).map(mheap::Payload::Long).collect());
+    (program, fns, data)
+}
+
+#[test]
+fn ill_formed_program_is_an_error_not_a_panic() {
+    let (program, fns, data) = use_before_def_program();
+    assert!(sparklang::validate(&program).is_err());
+    let single = RunBuilder::new(&program, fns, data)
+        .config(config(MemoryMode::Panthera))
+        .run()
+        .expect_err("E=1: an ill-formed program must be rejected");
+    let clustered = RunBuilder::from_build(&use_before_def_program)
+        .config(config(MemoryMode::Panthera))
+        .executors(2)
+        .run()
+        .expect_err("E=2: an ill-formed program must be rejected");
+    for err in [single, clustered] {
+        let RunError::Config(config_err) = err else {
+            panic!("an ill-formed program should surface as RunError::Config, got {err}");
+        };
+        assert!(
+            config_err.message().contains("ill-formed program"),
+            "{config_err}"
+        );
+    }
+}
