@@ -66,6 +66,36 @@ fn bench_minor_with_tagged_survivors(c: &mut Criterion) {
     });
 }
 
+/// The shape that makes a per-card reference expansion quadratic: one
+/// 8k-slot old-space RDD array (128 cards) with a young tuple in every
+/// slot, so every card the array spans is dirty and each card overlaps
+/// the same array.
+fn bench_minor_multi_card_array(c: &mut Criterion) {
+    c.bench_function("gc/minor_multi_card_array", |b| {
+        b.iter_batched(
+            || {
+                let (mut heap, gc) = setup();
+                let mut roots = RootSet::new();
+                let nvm = heap.old_nvm().unwrap();
+                let arr = heap.alloc_array_old(nvm, 1, 8_192, MemTag::Nvm).unwrap();
+                roots.push(arr);
+                for i in 0..8_192 {
+                    let t = heap
+                        .alloc_young(ObjKind::Tuple, MemTag::None, vec![], Payload::Long(i))
+                        .unwrap();
+                    heap.push_ref(arr, t);
+                }
+                (heap, gc, roots)
+            },
+            |(mut heap, mut gc, roots)| {
+                gc.minor_gc(&mut heap, &roots);
+                black_box(gc.stats().cards_scanned)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 fn bench_major_compaction(c: &mut Criterion) {
     c.bench_function("gc/major_2k_live_2k_dead", |b| {
         b.iter_batched(
@@ -126,6 +156,7 @@ criterion_group!(
     benches,
     bench_minor_all_dead,
     bench_minor_with_tagged_survivors,
+    bench_minor_multi_card_array,
     bench_major_compaction,
     bench_card_sweep
 );

@@ -2,6 +2,7 @@
 //! shared state of the minor and major collectors.
 
 use crate::freq::AccessFreqTable;
+use crate::marks::TraceMarks;
 use crate::policy::PlacementPolicy;
 use crate::stats::{GcEvent, GcStats, PauseStats};
 use mheap::{
@@ -78,6 +79,8 @@ pub struct GcCoordinator {
     /// Unlike the frequency table, overrides persist across collections —
     /// they stand until the policy changes its mind.
     pub(crate) tag_overrides: HashMap<u32, MemTag>,
+    /// Per-object trace state, reused by every collection pass.
+    pub(crate) marks: TraceMarks,
 }
 
 impl GcCoordinator {
@@ -97,6 +100,7 @@ impl GcCoordinator {
             major_pauses: PauseStats::default(),
             events: Vec::new(),
             tag_overrides: HashMap::new(),
+            marks: TraceMarks::default(),
         }
     }
 

@@ -43,12 +43,12 @@
 mod coordinator;
 mod freq;
 mod major;
+mod marks;
 mod minor;
 mod policy;
 mod stats;
 
 pub use coordinator::{verify_env_enabled, GcConfig, GcCoordinator};
 pub use freq::AccessFreqTable;
-pub use minor::card_population;
 pub use policy::{PantheraPolicy, PlacementPolicy, UnifiedPolicy, WriteRationingPolicy};
 pub use stats::{GcEvent, GcKind, GcStats, PauseStats};

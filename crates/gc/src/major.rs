@@ -10,9 +10,10 @@
 //! reset at the end of the collection.
 
 use crate::coordinator::{GcCoordinator, TRACE_CPU_NS_PER_OBJ};
+use crate::marks::TraceMarks;
 use hybridmem::Phase;
 use mheap::{Heap, Invariant, ObjId, OldSpaceId, RootSet, VerifyError, VerifyPoint};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 impl GcCoordinator {
     /// Run one major collection.
@@ -29,6 +30,7 @@ impl GcCoordinator {
 
         // --- mark ---------------------------------------------------------
         let marked = self.mark(heap, roots);
+        let is_marked = |heap: &Heap, id: ObjId| heap.is_live(id) && heap.obj(id).marked;
 
         // Footprint conservation (verifier invariant d): the marked bytes
         // entering compaction+migration must equal the old-generation bytes
@@ -38,26 +40,26 @@ impl GcCoordinator {
             heap.old_space_ids()
                 .iter()
                 .flat_map(|s| heap.old(*s).objects())
-                .filter(|id| marked.contains(id))
+                .filter(|id| is_marked(heap, **id))
                 .map(|id| heap.obj(*id).size)
                 .sum()
         } else {
             0
         };
 
-        // --- per-space live lists ------------------------------------------
-        let mut live: HashMap<OldSpaceId, Vec<ObjId>> = HashMap::new();
+        // --- per-space live lists, indexed by space id ---------------------
+        let mut live: Vec<Vec<ObjId>> = Vec::new();
         let mut dead: Vec<ObjId> = Vec::new();
         for space in heap.old_space_ids() {
             let mut l = Vec::new();
             for id in heap.old(space).objects() {
-                if marked.contains(id) {
+                if is_marked(heap, *id) {
                     l.push(*id);
                 } else {
                     dead.push(*id);
                 }
             }
-            live.insert(space, l);
+            live.push(l);
         }
 
         // --- dynamic re-assessment (Panthera) -------------------------------
@@ -70,7 +72,7 @@ impl GcCoordinator {
         let mut movers: Vec<(ObjId, OldSpaceId, OldSpaceId)> = Vec::new();
         for space in heap.old_space_ids() {
             let mut staying = Vec::new();
-            for id in live.remove(&space).unwrap_or_default() {
+            for id in std::mem::take(&mut live[space.0 as usize]) {
                 match migrate.get(&id) {
                     Some(dest) if *dest != space => movers.push((id, space, *dest)),
                     _ => staying.push(id),
@@ -207,20 +209,22 @@ impl GcCoordinator {
         heap.mem_mut().enter_phase(prev);
     }
 
-    /// Full-heap mark from the roots; charges a read per object visited.
-    fn mark(&mut self, heap: &mut Heap, roots: &RootSet) -> HashSet<ObjId> {
-        let mut visited: HashSet<ObjId> = HashSet::new();
+    /// Full-heap mark from the roots through the header mark bit; charges
+    /// a read per object visited. Returns the marked objects in visit
+    /// order, for the final clear.
+    fn mark(&mut self, heap: &mut Heap, roots: &RootSet) -> Vec<ObjId> {
+        let mut visited: Vec<ObjId> = Vec::new();
         let mut queue: VecDeque<ObjId> = roots.iter().filter(|r| heap.is_live(*r)).collect();
         while let Some(id) = queue.pop_front() {
-            if !visited.insert(id) {
+            if heap.obj(id).marked {
                 continue;
             }
             heap.obj_mut(id).marked = true;
+            visited.push(id);
             heap.read_object(id);
             heap.mem_mut().compute(TRACE_CPU_NS_PER_OBJ);
-            let refs = heap.obj(id).refs.clone();
-            for t in refs {
-                if heap.is_live(t) && !visited.contains(&t) {
+            for &t in &heap.obj(id).refs {
+                if heap.is_live(t) && !heap.obj(t).marked {
                     queue.push_back(t);
                 }
             }
@@ -233,11 +237,7 @@ impl GcCoordinator {
     /// pinned an override for the RDD, by the override alone. Objects
     /// reachable from a migrating array migrate with it; DRAM wins
     /// conflicts.
-    fn plan_migrations(
-        &mut self,
-        heap: &Heap,
-        live: &HashMap<OldSpaceId, Vec<ObjId>>,
-    ) -> HashMap<ObjId, OldSpaceId> {
+    fn plan_migrations(&mut self, heap: &Heap, live: &[Vec<ObjId>]) -> HashMap<ObjId, OldSpaceId> {
         let (Some(dram), Some(nvm)) = (heap.old_dram(), heap.old_nvm()) else {
             return HashMap::new();
         };
@@ -246,11 +246,8 @@ impl GcCoordinator {
         // (MEMORY_BITS conflict priority).
         let mut to_nvm: Vec<ObjId> = Vec::new();
         let mut to_dram: Vec<ObjId> = Vec::new();
-        // Iterate spaces in id order — `live` is a hash map.
-        let mut spaces: Vec<_> = live.keys().copied().collect();
-        spaces.sort_unstable();
-        for space in spaces {
-            let (space, ids) = (&space, &live[&space]);
+        for (i, ids) in live.iter().enumerate() {
+            let space = OldSpaceId(i as u8);
             for id in ids {
                 let o = heap.obj(*id);
                 let Some(rdd_id) = o.kind.rdd_id() else {
@@ -261,27 +258,27 @@ impl GcCoordinator {
                 }
                 if let Some(tag) = self.tag_overrides.get(&rdd_id) {
                     match tag {
-                        mheap::MemTag::Dram if *space == nvm => to_dram.push(*id),
-                        mheap::MemTag::Nvm if *space == dram => to_nvm.push(*id),
+                        mheap::MemTag::Dram if space == nvm => to_dram.push(*id),
+                        mheap::MemTag::Nvm if space == dram => to_nvm.push(*id),
                         _ => {}
                     }
                     continue;
                 }
                 let calls = self.freq.calls(rdd_id);
-                if calls >= self.config.hot_call_threshold && *space == nvm {
+                if calls >= self.config.hot_call_threshold && space == nvm {
                     to_dram.push(*id);
-                } else if calls < self.config.cold_call_threshold && *space == dram {
+                } else if calls < self.config.cold_call_threshold && space == dram {
                     to_nvm.push(*id);
                 }
             }
         }
         for id in to_nvm {
-            for m in reachable_in_old(heap, id) {
+            for m in reachable_in_old(heap, &mut self.marks, id) {
                 plan.insert(m, nvm);
             }
         }
         for id in to_dram {
-            for m in reachable_in_old(heap, id) {
+            for m in reachable_in_old(heap, &mut self.marks, id) {
                 plan.insert(m, dram);
             }
         }
@@ -289,13 +286,14 @@ impl GcCoordinator {
     }
 }
 
-/// The old-generation objects reachable from `root` (inclusive).
-fn reachable_in_old(heap: &Heap, root: ObjId) -> Vec<ObjId> {
+/// The old-generation objects reachable from `root` (inclusive), traced
+/// in a fresh pass of `marks`.
+fn reachable_in_old(heap: &Heap, marks: &mut TraceMarks, root: ObjId) -> Vec<ObjId> {
+    marks.begin(false);
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
     let mut queue = VecDeque::from([root]);
     while let Some(id) = queue.pop_front() {
-        if !seen.insert(id) || !heap.is_live(id) {
+        if !marks.visit(id) || !heap.is_live(id) {
             continue;
         }
         let o = heap.obj(id);
