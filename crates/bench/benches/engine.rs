@@ -33,6 +33,35 @@ fn shuffle_program() -> (Program, FnTable) {
     b.finish()
 }
 
+/// source -> map -> reduceByKey: the map side streams straight into the
+/// reduce side's fold.
+fn fused_reduce_program() -> (Program, FnTable) {
+    let mut b = ProgramBuilder::new("fused-reduce");
+    let bump = b.map_fn(|p| match p.as_pair() {
+        Some((k, v)) => Payload::pair(k.clone(), Payload::Long(v.as_long().unwrap_or(0) + 1)),
+        None => p.clone(),
+    });
+    let add =
+        b.reduce_fn(|a, c| Payload::Long(a.as_long().unwrap_or(0) + c.as_long().unwrap_or(0)));
+    let src = b.source("pairs");
+    let x = b.bind("x", src.map(bump).reduce_by_key(add));
+    b.persist(x, StorageLevel::MemoryOnly);
+    b.action(x, ActionKind::Count);
+    b.finish()
+}
+
+/// 4k `(key, long)` pair records over 64 keys.
+fn keyed_pairs() -> DataRegistry {
+    let mut data = DataRegistry::new();
+    data.register(
+        "pairs",
+        (0..4_096)
+            .map(|i| Payload::keyed(i % 64, Payload::Long(i)))
+            .collect(),
+    );
+    data
+}
+
 fn engine() -> impl FnMut(Program, FnTable, DataRegistry) -> u64 {
     move |program, fns, data| {
         let cfg = SystemConfig::new(MemoryMode::Panthera, 8 * SIM_GB, 1.0 / 3.0);
@@ -66,14 +95,18 @@ fn bench_shuffle(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let (p, fns) = shuffle_program();
-                let mut data = DataRegistry::new();
-                data.register(
-                    "pairs",
-                    (0..4_096)
-                        .map(|i| Payload::keyed(i % 64, Payload::Long(i)))
-                        .collect(),
-                );
-                (p, fns, data)
+                (p, fns, keyed_pairs())
+            },
+            |(p, fns, data)| black_box(run(p, fns, data)),
+            BatchSize::SmallInput,
+        );
+    });
+    c.bench_function("engine/fused_map_into_reduce_by_key", |b| {
+        let mut run = engine();
+        b.iter_batched(
+            || {
+                let (p, fns) = fused_reduce_program();
+                (p, fns, keyed_pairs())
             },
             |(p, fns, data)| black_box(run(p, fns, data)),
             BatchSize::SmallInput,

@@ -204,7 +204,7 @@ impl Payload {
             Payload::Pair(k, _) => k.shuffle_key(),
             Payload::Long(v) => Key::Long(*v),
             Payload::Text { sym, .. } => Key::Sym(*sym),
-            Payload::Double(v) => Key::Long(v.to_bits() as i64),
+            Payload::Double(v) => Key::Double(total_order_bits(*v)),
             other => panic!("payload {other:?} has no shuffle key"),
         }
     }
@@ -238,6 +238,17 @@ pub enum Key {
     Long(i64),
     /// Interned-string key.
     Sym(u64),
+    /// Float key, encoded so that integer order is [`f64::total_cmp`]'s
+    /// order (-2.0 before -1.0; -0.0 and each NaN bit pattern distinct).
+    Double(i64),
+}
+
+/// The bits of `v` as a signed integer whose order is
+/// [`f64::total_cmp`]'s: negative floats have their magnitude bits
+/// flipped, so a larger magnitude compares smaller.
+fn total_order_bits(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// A `Send`-able structural mirror of [`Payload`], used when records cross
@@ -424,6 +435,33 @@ mod tests {
         assert_eq!(Payload::keyed(9, Payload::Unit).shuffle_key(), Key::Long(9));
         let t = Payload::Text { sym: 3, len: 10 };
         assert_eq!(t.shuffle_key(), Key::Sym(3));
+    }
+
+    #[test]
+    fn double_keys_do_not_alias_long_keys() {
+        let v = 1.5f64;
+        let as_long = Payload::Long(v.to_bits() as i64).shuffle_key();
+        assert_ne!(Payload::Double(v).shuffle_key(), as_long);
+    }
+
+    #[test]
+    fn double_keys_order_like_total_cmp() {
+        let mut vals = vec![
+            -1.0,
+            3.0,
+            -2.0,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            -0.5,
+            f64::NEG_INFINITY,
+        ];
+        let mut by_key = vals.clone();
+        by_key.sort_by_key(|v| Payload::Double(*v).shuffle_key());
+        vals.sort_by(f64::total_cmp);
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&vals));
+        assert!(Payload::Double(-2.0).shuffle_key() < Payload::Double(-1.0).shuffle_key());
     }
 
     #[test]

@@ -223,6 +223,11 @@ impl ProgramBuilder {
     }
 
     /// Register a binary combiner.
+    ///
+    /// A `reduceByKey` combiner runs interleaved with the narrow chain on
+    /// its shuffle's map side (records are folded as they are produced),
+    /// so it must not observe state that those map closures write — the
+    /// contract of Spark's map-side combine.
     pub fn reduce_fn(&mut self, f: impl Fn(&Payload, &Payload) -> Payload + 'static) -> FuncId {
         self.fns.add(UserFn::Reduce(Box::new(f)))
     }

@@ -13,6 +13,7 @@
 //! whole cluster is a Kahn process network: results and simulated clocks
 //! are independent of host-thread scheduling.
 
+use crate::shuffle::FxBuildHasher;
 use mheap::{Key, Payload, WirePayload};
 use sparklang::ast::MemoryTag;
 use std::collections::HashMap;
@@ -538,7 +539,7 @@ pub(crate) fn transfer_cost(
     exec: u16,
     n_exec: u16,
 ) -> (u64, u64) {
-    let mut key_bucket: HashMap<Key, usize> = HashMap::new();
+    let mut key_bucket: HashMap<Key, usize, FxBuildHasher> = HashMap::default();
     for (_, _, recs) in left.iter().chain(right.iter()) {
         for r in recs {
             let next = key_bucket.len();

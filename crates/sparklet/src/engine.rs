@@ -24,13 +24,13 @@ use crate::cursor::Schedule;
 use crate::data::DataRegistry;
 use crate::rdd::{MatData, RddId, RddNode, RddOp};
 use crate::runtime::MemoryRuntime;
-use crate::shuffle::{reduce_side, Buckets};
+use crate::shuffle::{FxBuildHasher, RecordSink, ShuffleSink};
 use hybridmem::{AccessKind, AccessProfile, DeviceKind};
 use mheap::{ObjId, ObjKind, OffHeapRegion, Payload, RegionHeap, RootSet, WirePayload};
 use panthera_analysis::{collect_lifetimes, InstrumentationPlan, LifetimePlan};
 use sparklang::ast::{ActionKind, Program, RddExpr, Stmt, StmtId, StorageLevel, Transform, VarId};
 use sparklang::{FnTable, FuncId, UserFn};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Cost knobs of the engine's non-heap activities.
@@ -889,7 +889,7 @@ impl<R: MemoryRuntime> Engine<R> {
             return;
         };
         let mut queue = vec![rdd];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::with_hasher(FxBuildHasher::default());
         while let Some(id) = queue.pop() {
             if !seen.insert(id) {
                 continue;
@@ -1351,19 +1351,62 @@ impl<R: MemoryRuntime> Engine<R> {
         (Rc::new(local), meta)
     }
 
+    /// Shuffle map side: compute each parent's local records, charge
+    /// their shuffle write, and feed parent `i`'s records of the global
+    /// map output to `sink.input(i)` in global-partition order. The
+    /// map-side passes read randomly when `random_reads` (a join's hash
+    /// build and probe); the flag covers only this shuffle's direct input
+    /// chains — a nested shuffle's own inputs are scanned sequentially.
+    ///
+    /// Without peers local order *is* global order, so each parent streams
+    /// from its producing pass straight into the sink and no map-output
+    /// vector is built. With peers, each parent's local slice is collected
+    /// and charged, the slices are exchanged, and the gathered records are
+    /// fed.
+    fn shuffle_map_side(
+        &mut self,
+        rdd: RddId,
+        parents: &[RddId],
+        random_reads: bool,
+        sink: &mut ShuffleSink,
+    ) {
+        let saved_depth = std::mem::replace(&mut self.random_read_depth, u32::from(random_reads));
+        let cluster = self.cluster.clone();
+        let mut local = Vec::with_capacity(parents.len());
+        for (i, &parent) in parents.iter().enumerate() {
+            if cluster.is_none() {
+                self.compute_into(parent, sink.input(i));
+                self.charge_shuffle(sink.input(i).bytes());
+            } else {
+                let records = self.compute(parent);
+                self.charge_shuffle(model_bytes(&records));
+                local.push(records);
+            }
+        }
+        self.random_read_depth = saved_depth;
+        let Some(ctx) = cluster else {
+            return;
+        };
+        let global = self.gather_shuffle(&ctx, rdd, parents, local);
+        for (i, records) in global.into_iter().enumerate() {
+            let input = sink.input(i);
+            for r in records {
+                input.accept(&self.fns, r);
+            }
+        }
+    }
+
     /// Shuffle gather: hand this executor's map-side records of each
     /// parent to its peers and return the global map output per parent,
     /// in global-partition order — the order a run without peers scans
     /// its own records in. Charges the cross-executor transfer.
     fn gather_shuffle(
         &mut self,
+        ctx: &ClusterCtx,
         rdd: RddId,
         parents: &[RddId],
         local: Vec<Rc<Vec<Payload>>>,
-    ) -> Vec<Rc<Vec<Payload>>> {
-        let Some(ctx) = self.cluster.clone() else {
-            return local;
-        };
+    ) -> Vec<Vec<Payload>> {
         let contrib = ShuffleContrib {
             left: self.wire_parts(parents[0], &local[0]),
             right: local.get(1).map(|recs| self.wire_parts(parents[1], recs)),
@@ -1407,7 +1450,7 @@ impl<R: MemoryRuntime> Engine<R> {
             self.emit(obs::Event::ShuffleFastPath { bytes: xfer_bytes });
         }
         let flat = |parts: Vec<(u64, u16, Vec<Payload>)>| {
-            Rc::new(parts.into_iter().flat_map(|(_, _, recs)| recs).collect())
+            parts.into_iter().flat_map(|(_, _, recs)| recs).collect()
         };
         let mut global = vec![flat(left)];
         if parents.len() > 1 {
@@ -1526,20 +1569,40 @@ impl<R: MemoryRuntime> Engine<R> {
     /// Produce this executor's records of `rdd`, charging all memory
     /// traffic; their partition layout is in `part_meta` afterwards. The
     /// result is shared: callers that only read (materialization, charge
-    /// accounting, bucket filling) never copy the vector.
+    /// accounting) never copy the vector.
     fn compute(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+        let mut out = Vec::new();
+        self.produce(rdd, &mut out).unwrap_or_else(|| Rc::new(out))
+    }
+
+    /// Feed this executor's records of `rdd` into `sink`, in order, with
+    /// the charges [`Engine::compute`] issues. A fused narrow chain or a
+    /// union streams its records straight from the producing pass; any
+    /// other RDD is computed whole, then fed.
+    fn compute_into(&mut self, rdd: RddId, sink: &mut dyn RecordSink) {
+        if let Some(records) = self.produce(rdd, sink) {
+            feed(&self.fns, records, sink);
+        }
+    }
+
+    /// The one dispatch behind [`Engine::compute`] and
+    /// [`Engine::compute_into`]: serve `rdd` from where it is stored, in
+    /// lookup order, or else from its lineage. Returns the records when
+    /// they come as one vector; returns `None` when they were streamed
+    /// into `sink` instead (a fused narrow chain or a union).
+    fn produce(&mut self, rdd: RddId, sink: &mut dyn RecordSink) -> Option<Rc<Vec<Payload>>> {
         if self.rdds[rdd.0 as usize].materialized.is_some() {
-            return self.read_materialized(rdd);
+            return Some(self.read_materialized(rdd));
         }
         if let Some(records) = self.disk_store.get(&rdd) {
             let records = Rc::clone(records);
             self.charge_disk(&records);
-            return records;
+            return Some(records);
         }
         if let Some(records) = self.native_store.get(&rdd) {
             let records = Rc::clone(records);
             self.charge_native(&records, AccessKind::Read);
-            return records;
+            return Some(records);
         }
         if let Some(records) = self.offheap_store.get(&rdd) {
             let records = Rc::clone(records);
@@ -1551,7 +1614,7 @@ impl<R: MemoryRuntime> Engine<R> {
             }
             let device = self.offheap_device(rdd);
             self.charge_device(device, AccessKind::Read, model_bytes(&records));
-            return records;
+            return Some(records);
         }
         if let Some(records) = self.region_store.get(&rdd) {
             let records = Rc::clone(records);
@@ -1567,24 +1630,26 @@ impl<R: MemoryRuntime> Engine<R> {
                 }
             };
             self.charge_device(device, AccessKind::Read, model_bytes(&records));
-            return records;
+            return Some(records);
         }
         if let Some(records) = self.try_restore_checkpoint(rdd) {
-            return records;
+            return Some(records);
         }
         let op = self.rdds[rdd.0 as usize].op.clone();
         match op {
-            RddOp::Source(name) => self.compute_source(rdd, &name),
+            RddOp::Source(name) => Some(self.compute_source(rdd, &name)),
             RddOp::Transformed { transform, parents } => {
                 if transform.is_wide() {
-                    self.compute_shuffle(rdd, &transform, &parents)
+                    Some(self.compute_shuffle(rdd, &transform, &parents))
                 } else if let Transform::Union = transform {
-                    self.compute_union(rdd, &parents)
+                    self.union_into(rdd, &parents, sink);
+                    None
                 } else if self.config.fuse_narrow {
-                    self.compute_fused(rdd)
+                    self.fuse_into(rdd, sink);
+                    None
                 } else {
                     let input = self.compute(parents[0]);
-                    self.stream(rdd, parents[0], &input, &transform)
+                    Some(self.stream(rdd, parents[0], &input, &transform))
                 }
             }
         }
@@ -1606,9 +1671,9 @@ impl<R: MemoryRuntime> Engine<R> {
     /// A union's local records are parent 0's partitions followed by
     /// parent 1's, renumbered past parent 0's global partition space
     /// (ownership inherits parent placement, like Spark's UnionRDD).
-    fn compute_union(&mut self, rdd: RddId, parents: &[RddId]) -> Rc<Vec<Payload>> {
-        let mut out: Vec<Payload> = self.compute(parents[0]).as_ref().clone();
-        out.extend(self.compute(parents[1]).iter().cloned());
+    fn union_into(&mut self, rdd: RddId, parents: &[RddId], sink: &mut dyn RecordSink) {
+        self.compute_into(parents[0], sink);
+        self.compute_into(parents[1], sink);
         let m0 = self.part_meta[&parents[0]].clone();
         let m1 = &self.part_meta[&parents[1]];
         let mut gids = m0.gids;
@@ -1621,35 +1686,38 @@ impl<R: MemoryRuntime> Engine<R> {
             global_parts: m0.global_parts + m1.global_parts,
         };
         self.part_meta.insert(rdd, meta);
-        Rc::new(out)
     }
 
     /// Fused execution of the maximal narrow chain ending at `rdd`: every
     /// record flows through the whole chain depth-first, so intermediate
-    /// stages never materialize a `Vec<Payload>` — only the chain's final
-    /// output is collected, partition by partition. Simulated costs are
-    /// *not* charged during the host-side pass; each stage logs its charge
-    /// events (one CPU tick per input record, one young allocation per
-    /// output record, in record order) and the logs are replayed
-    /// stage-by-stage afterwards. The replayed sequence is exactly what
-    /// the unfused engine would have issued, so simulated time, energy,
-    /// and GC scheduling are bit-identical to stage-at-a-time execution.
-    fn compute_fused(&mut self, rdd: RddId) -> Rc<Vec<Payload>> {
+    /// stages never materialize a `Vec<Payload>` — the chain's final
+    /// outputs go straight to `sink`, partition by partition. Simulated
+    /// costs are *not* charged during the host-side pass; each stage logs
+    /// its charge events (one CPU tick per input record, one young
+    /// allocation per output record, in record order) and the logs are
+    /// replayed stage-by-stage afterwards. The replayed sequence is
+    /// exactly what the unfused engine would have issued, so simulated
+    /// time, energy, and GC scheduling are bit-identical to
+    /// stage-at-a-time execution. The sink charges nothing, so a shuffle's
+    /// reduce side may fold records during the host pass.
+    fn fuse_into(&mut self, rdd: RddId, sink: &mut dyn RecordSink) {
         let (base, stages) = self.narrow_chain(rdd);
         let input = self.compute(base);
         debug_assert!(!stages.is_empty(), "narrow node must contribute a stage");
         let mut logs: Vec<StageLog> = stages.iter().map(|_| StageLog::default()).collect();
         logs[0].outputs_per_input.reserve(input.len());
         logs[0].alloc_bytes.reserve(input.len());
-        let mut out = Vec::with_capacity(input.len());
+        // The last stage logs one allocation per chain output, so its log
+        // length counts each partition's outputs.
+        let produced = |logs: &[StageLog]| logs[logs.len() - 1].alloc_bytes.len();
         let mut lens = Vec::new();
         let mut off = 0usize;
         for &len in &self.part_meta[&base].lens {
-            let before = out.len();
+            let before = produced(&logs);
             for r in &input[off..off + len] {
-                drive_chain(&self.fns, &stages, r, &mut logs, &mut out);
+                drive_chain(&self.fns, &stages, r, &mut logs, sink);
             }
-            lens.push(out.len() - before);
+            lens.push(produced(&logs) - before);
             off += len;
         }
         debug_assert_eq!(off, input.len(), "partition metadata out of sync");
@@ -1667,7 +1735,6 @@ impl<R: MemoryRuntime> Engine<R> {
             }
         }
         self.insert_narrow_meta(rdd, base, lens);
-        Rc::new(out)
     }
 
     /// The maximal chain of fusable narrow transformations ending at
@@ -1763,9 +1830,9 @@ impl<R: MemoryRuntime> Engine<R> {
     }
 
     /// A wide transformation: spill this executor's map-side partitions,
-    /// exchange them at the shuffle gather, run the reduce side over the
-    /// global buckets (replicated host work, deterministic on every
-    /// executor), and keep the output partitions this executor owns.
+    /// feed the global map output to the reduce side (replicated host
+    /// work, deterministic on every executor), and keep the output
+    /// partitions this executor owns.
     fn compute_shuffle(
         &mut self,
         rdd: RddId,
@@ -1773,37 +1840,18 @@ impl<R: MemoryRuntime> Engine<R> {
         parents: &[RddId],
     ) -> Rc<Vec<Payload>> {
         self.stats.shuffles += 1;
+        let mut sink = ShuffleSink::new(transform, parents.len());
         // Joins build and probe per-key hash structures: their input
         // accesses are random, unlike the streaming scans of aggregations.
-        // The flag covers only this shuffle's direct input chains — a
-        // nested shuffle's own inputs are scanned sequentially again.
-        let saved_depth = std::mem::take(&mut self.random_read_depth);
-        if matches!(transform, Transform::Join) {
-            self.random_read_depth = 1;
-        }
-        // Map side: compute the local slices of each parent and write the
-        // local shuffle files.
-        let mut map_side = Vec::with_capacity(parents.len());
-        for &parent in parents {
-            let records = self.compute(parent);
-            self.charge_shuffle(&records);
-            map_side.push(records);
-        }
-        self.random_read_depth = saved_depth;
-        let global = self.gather_shuffle(rdd, parents, map_side);
+        self.shuffle_map_side(
+            rdd,
+            parents,
+            matches!(transform, Transform::Join),
+            &mut sink,
+        );
         // The consuming stage starts by reading the shuffle files.
         self.runtime.stage_boundary(&self.roots);
-        let buckets: Vec<Buckets> = global
-            .iter()
-            .map(|records| {
-                let mut b = Buckets::new();
-                for r in records.iter() {
-                    b.add(r.clone());
-                }
-                b
-            })
-            .collect();
-        let out = reduce_side(transform, &self.fns, &buckets[0], buckets.get(1));
+        let out = sink.finish(&self.fns);
         let (records, meta) = self.own_partitions(Rc::new(out));
         for _ in records.iter() {
             self.runtime
@@ -1811,7 +1859,7 @@ impl<R: MemoryRuntime> Engine<R> {
                 .mem_mut()
                 .compute(self.config.record_cpu_ns);
         }
-        self.charge_shuffle(&records);
+        self.charge_shuffle(model_bytes(&records));
         // Meta must precede materialization: the checkpoint hook inside
         // `materialize_into_heap` snapshots by global partition id.
         self.note_stage_recomputed(meta.gids.len() as u64);
@@ -1892,8 +1940,7 @@ impl<R: MemoryRuntime> Engine<R> {
             .compute(self.config.costs.disk_ns(bytes));
     }
 
-    fn charge_shuffle(&mut self, records: &[Payload]) {
-        let bytes = model_bytes(records);
+    fn charge_shuffle(&mut self, bytes: u64) {
         self.stats.shuffle_bytes += bytes;
         self.emit(obs::Event::ShuffleSpill { bytes });
         self.runtime
@@ -2133,6 +2180,23 @@ struct StageLog {
     alloc_bytes: Vec<u64>,
 }
 
+/// Feed `records` to `sink` in order — by move when the vector is not
+/// shared.
+fn feed(fns: &FnTable, records: Rc<Vec<Payload>>, sink: &mut dyn RecordSink) {
+    match Rc::try_unwrap(records) {
+        Ok(owned) => {
+            for r in owned {
+                sink.accept(fns, r);
+            }
+        }
+        Err(shared) => {
+            for r in shared.iter() {
+                sink.accept(fns, r.clone());
+            }
+        }
+    }
+}
+
 /// Total modelled bytes of `records`.
 fn model_bytes(records: &[Payload]) -> u64 {
     records.iter().map(Payload::model_bytes).sum()
@@ -2154,7 +2218,7 @@ fn size_stand_in(model_bytes: u64) -> Payload {
 
 /// Push one record depth-first through the chain's remaining stages,
 /// logging each stage's charge events in the order the stage-at-a-time
-/// engine would issue them and collecting the chain's final outputs into
+/// engine would issue them and handing the chain's final outputs to
 /// `out`. `stages` and `logs` both start at the current stage (the caller
 /// passes the full chain; recursion passes the tail).
 fn drive_chain(
@@ -2162,7 +2226,7 @@ fn drive_chain(
     stages: &[Transform],
     r: &Payload,
     logs: &mut [StageLog],
-    out: &mut Vec<Payload>,
+    out: &mut dyn RecordSink,
 ) {
     let (transform, deeper_stages) = stages.split_first().expect("non-empty chain");
     // Split the log slice so the closure can log this stage while the
@@ -2173,7 +2237,7 @@ fn drive_chain(
         n_out += 1;
         log_k.alloc_bytes.push(p.model_bytes());
         if deeper_stages.is_empty() {
-            out.push(p);
+            out.accept(fns, p);
         } else {
             drive_chain(fns, deeper_stages, &p, deeper_logs, out);
         }

@@ -36,4 +36,4 @@ pub use data::{DataRegistry, InternTable};
 pub use engine::{partition_sizes, ActionResult, Engine, EngineConfig, ExecStats, RunOutcome};
 pub use rdd::{MatData, RddId, RddNode, RddOp};
 pub use runtime::MemoryRuntime;
-pub use shuffle::{reduce_side, Buckets};
+pub use shuffle::{reduce_side, Buckets, RecordSink, ShuffleInput, ShuffleSink};

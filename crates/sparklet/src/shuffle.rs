@@ -1,14 +1,17 @@
 //! Shuffle semantics: the reduce-side of the wide transformations.
 //!
-//! Map-side outputs are bucketed by shuffle key; this module implements
-//! what the reducer does with each bucket — grouping, combining, joining,
-//! deduplicating. The heap effects (disk traffic, `ShuffledRDD`
+//! Map-side records reach the reduce side one at a time, in global order,
+//! through a [`ShuffleSink`]: `reduceByKey` folds each record into its
+//! key's accumulator on arrival, every other wide transformation buckets
+//! records by shuffle key and then groups, joins, deduplicates, or sorts
+//! the buckets. The heap effects (disk traffic, `ShuffledRDD`
 //! materialization) are charged by the engine; this is pure record logic.
 
 use mheap::{Key, Payload};
 use sparklang::{FnTable, FuncId, Transform, UserFn};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// FxHash-style multiplicative hasher: one rotate-xor-multiply per 8-byte
 /// word. Shuffle keys are one or two words, so this is a handful of
@@ -64,6 +67,21 @@ impl Hasher for FxHasher {
 /// Deterministic build-hasher for shuffle-side hash maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// A consumer of records in global order: the reduce side of a shuffle,
+/// or a plain vector collecting a narrow chain's output. `fns` is passed
+/// per record (not held) so a sink can be filled while the engine that
+/// owns the function table is busy charging the producing pass.
+pub trait RecordSink {
+    /// Take the next record.
+    fn accept(&mut self, fns: &FnTable, record: Payload);
+}
+
+impl RecordSink for Vec<Payload> {
+    fn accept(&mut self, _: &FnTable, record: Payload) {
+        self.push(record);
+    }
+}
+
 /// Map-side output grouped by key, in first-appearance order (kept
 /// deterministic for reproducible runs).
 #[derive(Debug, Clone, Default)]
@@ -109,6 +127,152 @@ impl Buckets {
         self.order
             .iter()
             .map(move |k| (*k, self.by_key[k].as_slice()))
+    }
+}
+
+/// `reduceByKey`'s per-key left fold, accumulated as records arrive:
+/// each key's accumulator starts at its first record's value and folds
+/// every later value in arrival order, with keys in first-appearance
+/// order — the fold [`reduce_side`] runs over [`Buckets`], without the
+/// per-key record lists.
+pub(crate) struct Combiner {
+    f: FuncId,
+    slot: HashMap<Key, usize, FxBuildHasher>,
+    /// `(key of the key's first record, accumulator)` per key.
+    accs: Vec<(Rc<Payload>, Payload)>,
+}
+
+impl Combiner {
+    /// An empty fold under reduce function `f`.
+    pub(crate) fn new(f: FuncId) -> Self {
+        Combiner {
+            f,
+            slot: HashMap::default(),
+            accs: Vec::new(),
+        }
+    }
+
+    /// One `(key, accumulator)` pair per key, in first-appearance order.
+    pub(crate) fn finish(self) -> Vec<Payload> {
+        self.accs
+            .into_iter()
+            .map(|(k, acc)| Payload::pair_shared(k, Rc::new(acc)))
+            .collect()
+    }
+}
+
+impl RecordSink for Combiner {
+    /// # Panics
+    ///
+    /// Panics if the record has no shuffle key, or if the function id is
+    /// not a reduce function.
+    fn accept(&mut self, fns: &FnTable, record: Payload) {
+        let key = record.shuffle_key();
+        let (k, v) = match record {
+            Payload::Pair(k, v) => (k, Rc::unwrap_or_clone(v)),
+            scalar => (Rc::new(scalar.clone()), scalar),
+        };
+        match self.slot.get(&key) {
+            Some(&i) => {
+                let acc = &mut self.accs[i].1;
+                *acc = combiner(fns, self.f)(acc, &v);
+            }
+            None => {
+                self.slot.insert(key, self.accs.len());
+                self.accs.push((k, v));
+            }
+        }
+    }
+}
+
+/// One shuffle input as the reduce side consumes it: folded on arrival
+/// for `reduceByKey`, bucketed by key for every other wide
+/// transformation. Counts the modelled bytes it was fed, which is what
+/// the map side's shuffle write is charged from.
+pub struct ShuffleInput {
+    bytes: u64,
+    state: InputState,
+}
+
+enum InputState {
+    Combine(Combiner),
+    Buckets(Buckets),
+}
+
+impl ShuffleInput {
+    /// Modelled bytes of every record fed so far.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl RecordSink for ShuffleInput {
+    fn accept(&mut self, fns: &FnTable, record: Payload) {
+        self.bytes += record.model_bytes();
+        match &mut self.state {
+            InputState::Combine(c) => c.accept(fns, record),
+            InputState::Buckets(b) => b.add(record),
+        }
+    }
+}
+
+/// The reduce side of one shuffle, fed its map output record by record in
+/// global order — one [`ShuffleInput`] per parent (two for
+/// [`Transform::Join`]). Feeding records in the order the map side
+/// produces them gives exactly the output [`reduce_side`] computes over
+/// the same records bucketed first.
+pub struct ShuffleSink {
+    transform: Transform,
+    inputs: Vec<ShuffleInput>,
+}
+
+impl ShuffleSink {
+    /// An empty reduce side of `transform` over `n_inputs` parents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transform` is narrow.
+    pub fn new(transform: &Transform, n_inputs: usize) -> Self {
+        assert!(
+            transform.is_wide(),
+            "{} is not a wide transformation",
+            transform.name()
+        );
+        let inputs = (0..n_inputs)
+            .map(|_| ShuffleInput {
+                bytes: 0,
+                state: match transform {
+                    Transform::ReduceByKey(f) => InputState::Combine(Combiner::new(*f)),
+                    _ => InputState::Buckets(Buckets::new()),
+                },
+            })
+            .collect();
+        ShuffleSink {
+            transform: transform.clone(),
+            inputs,
+        }
+    }
+
+    /// The sink for parent `i`'s records.
+    pub fn input(&mut self, i: usize) -> &mut ShuffleInput {
+        &mut self.inputs[i]
+    }
+
+    /// Run what remains of the reduce side and return its output records.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`reduce_side`] does (a join without two inputs, a
+    /// function id of the wrong kind).
+    pub fn finish(self, fns: &FnTable) -> Vec<Payload> {
+        let mut buckets = Vec::with_capacity(self.inputs.len());
+        for input in self.inputs {
+            match input.state {
+                InputState::Combine(c) => return c.finish(),
+                InputState::Buckets(b) => buckets.push(b),
+            }
+        }
+        reduce_side(&self.transform, fns, &buckets[0], buckets.get(1))
     }
 }
 
@@ -159,17 +323,16 @@ fn combiner(fns: &FnTable, f: FuncId) -> &dyn Fn(&Payload, &Payload) -> Payload 
     }
 }
 
+/// Bucket by bucket through the streaming [`Combiner`]: each bucket holds
+/// one key's records in arrival order, so the fold is the same.
 fn reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
-    let combine = combiner(fns, f);
-    let mut out = Vec::with_capacity(buckets.n_keys());
+    let mut fold = Combiner::new(f);
     for (_, records) in buckets.iter() {
-        let mut acc = value_of(&records[0]);
-        for r in &records[1..] {
-            acc = combine(&acc, &value_of(r));
+        for r in records {
+            fold.accept(fns, r.clone());
         }
-        out.push(Payload::pair(key_payload(&records[0]), acc));
     }
-    out
+    fold.finish()
 }
 
 fn group_by_key(buckets: &Buckets) -> Vec<Payload> {
@@ -183,7 +346,7 @@ fn group_by_key(buckets: &Buckets) -> Vec<Payload> {
 }
 
 fn distinct(buckets: &Buckets) -> Vec<Payload> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::with_hasher(FxBuildHasher::default());
     let mut out = Vec::new();
     for (_, records) in buckets.iter() {
         for r in records {
@@ -300,6 +463,54 @@ mod tests {
     fn narrow_transform_rejected() {
         let (_, fns) = ProgramBuilder::new("t").finish();
         reduce_side(&Transform::Values, &fns, &Buckets::new(), None);
+    }
+
+    #[test]
+    fn sink_folds_like_bucketed_reduce() {
+        let mut b = ProgramBuilder::new("t");
+        let f = b.reduce_fn(|a, c| {
+            Payload::Long(a.as_long().unwrap().wrapping_mul(31) + c.as_long().unwrap())
+        });
+        let (_, fns) = b.finish();
+        let records = vec![
+            keyed(2, 1),
+            keyed(1, 2),
+            keyed(2, 3),
+            keyed(1, 4),
+            keyed(2, 5),
+        ];
+        let mut sink = ShuffleSink::new(&Transform::ReduceByKey(f), 1);
+        for r in records.clone() {
+            sink.input(0).accept(&fns, r);
+        }
+        assert_eq!(sink.input(0).bytes(), 5 * 32);
+        let streamed = sink.finish(&fns);
+        let bucketed = reduce_side(&Transform::ReduceByKey(f), &fns, &bucket(records), None);
+        assert_eq!(streamed, bucketed);
+        assert_eq!(
+            streamed,
+            vec![keyed(2, (31 + 3) * 31 + 5), keyed(1, 31 * 2 + 4)]
+        );
+    }
+
+    #[test]
+    fn double_and_long_keys_bucket_apart() {
+        let d = Payload::pair(Payload::Double(2.5), Payload::Long(0));
+        let l = keyed(2.5f64.to_bits() as i64, 1);
+        assert_eq!(bucket(vec![d, l]).n_keys(), 2);
+    }
+
+    #[test]
+    fn sort_by_key_orders_negative_doubles() {
+        let (_, fns) = ProgramBuilder::new("t").finish();
+        let rec = |k: f64| Payload::pair(Payload::Double(k), Payload::Unit);
+        let buckets = bucket(vec![rec(-1.0), rec(2.0), rec(-2.0), rec(0.5)]);
+        let out = reduce_side(&Transform::SortByKey, &fns, &buckets, None);
+        let keys: Vec<f64> = out
+            .iter()
+            .map(|r| r.as_pair().unwrap().0.as_double().unwrap())
+            .collect();
+        assert_eq!(keys, vec![-2.0, -1.0, 0.5, 2.0]);
     }
 
     #[test]

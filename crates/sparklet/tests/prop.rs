@@ -3,8 +3,8 @@
 
 use mheap::Payload;
 use proptest::prelude::*;
-use sparklang::{ProgramBuilder, Transform};
-use sparklet::{reduce_side, Buckets};
+use sparklang::{FnTable, FuncId, ProgramBuilder, Transform, UserFn};
+use sparklet::{reduce_side, Buckets, RecordSink, ShuffleSink};
 
 fn bucket(records: &[(i64, i64)]) -> Buckets {
     let mut b = Buckets::new();
@@ -14,7 +14,78 @@ fn bucket(records: &[(i64, i64)]) -> Buckets {
     b
 }
 
+/// The bucket-then-fold `reduce_by_key` that the streaming combiner
+/// replaced, kept verbatim as the reference: per key in first-appearance
+/// order, a left fold from the first record's value.
+fn reference_reduce_by_key(fns: &FnTable, f: FuncId, buckets: &Buckets) -> Vec<Payload> {
+    let combine = match fns.get(f) {
+        UserFn::Reduce(f) => f,
+        other => panic!("reduceByKey requires a reduce function, got {other:?}"),
+    };
+    let mut out = Vec::with_capacity(buckets.n_keys());
+    for (_, records) in buckets.iter() {
+        let mut acc = value_of(&records[0]);
+        for r in &records[1..] {
+            acc = combine(&acc, &value_of(r));
+        }
+        out.push(Payload::pair(key_payload(&records[0]), acc));
+    }
+    out
+}
+
+fn value_of(record: &Payload) -> Payload {
+    match record.as_pair() {
+        Some((_, v)) => v.clone(),
+        None => record.clone(),
+    }
+}
+
+fn key_payload(record: &Payload) -> Payload {
+    match record.as_pair() {
+        Some((k, _)) => k.clone(),
+        None => record.clone(),
+    }
+}
+
+/// A random shuffle record: a `(Long key, Long)` or `(Sym key, Long)`
+/// pair, or a bare `Long` (its own key and value).
+fn shuffle_record() -> impl Strategy<Value = Payload> {
+    prop_oneof![
+        (0i64..12, any::<i64>()).prop_map(|(k, v)| Payload::keyed(k, Payload::Long(v))),
+        (0u64..6, any::<i64>()).prop_map(|(sym, v)| {
+            Payload::pair(Payload::Text { sym, len: 4 }, Payload::Long(v))
+        }),
+        (0i64..12).prop_map(Payload::Long),
+    ]
+}
+
 proptest! {
+    /// The streaming reduceByKey fold equals the bucket-then-fold
+    /// reference under a reduce that is neither commutative nor
+    /// associative, so any change of fold order or grouping shows.
+    #[test]
+    fn streaming_fold_matches_bucketed_reference(
+        records in prop::collection::vec(shuffle_record(), 0..96),
+    ) {
+        let mut b = ProgramBuilder::new("t");
+        let f = b.reduce_fn(|a, c| {
+            Payload::Long(a.as_long().unwrap().wrapping_mul(31).wrapping_add(c.as_long().unwrap()))
+        });
+        let (_, fns) = b.finish();
+        let transform = Transform::ReduceByKey(f);
+        let mut buckets = Buckets::new();
+        let mut sink = ShuffleSink::new(&transform, 1);
+        for r in &records {
+            buckets.add(r.clone());
+            sink.input(0).accept(&fns, r.clone());
+        }
+        let expect = reference_reduce_by_key(&fns, f, &buckets);
+        let bytes: u64 = records.iter().map(Payload::model_bytes).sum();
+        prop_assert_eq!(sink.input(0).bytes(), bytes);
+        prop_assert_eq!(&sink.finish(&fns), &expect);
+        prop_assert_eq!(&reduce_side(&transform, &fns, &buckets, None), &expect);
+    }
+
     /// reduceByKey with addition preserves the total sum and emits one
     /// record per distinct key.
     #[test]

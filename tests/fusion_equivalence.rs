@@ -19,7 +19,7 @@ use panthera::{
     MemoryMode, RecoveryPolicy, RunBuilder, RunSummary, ShuffleTransport, SystemConfig, SIM_GB,
 };
 use proptest::prelude::*;
-use sparklang::{ActionKind, FnTable, Program, ProgramBuilder};
+use sparklang::{ActionKind, FnTable, Program, ProgramBuilder, StorageLevel};
 use sparklet::{ActionResult, DataRegistry, EngineConfig};
 use workloads::{build_workload, WorkloadId};
 
@@ -131,23 +131,28 @@ proptest! {
 
 // ------------------------------------------------------------- cluster path
 
-/// One cluster run of `build` with fusion on or off.
+/// One run of `build` with fusion on or off. A fault plan (even an empty
+/// one) selects the cluster runtime; without one, E=1 runs the single
+/// runtime, which has no peers.
 fn run_cluster_once(
     build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     cfg: &SystemConfig,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
     fuse: bool,
 ) -> RunSummary {
     let ecfg = EngineConfig {
         fuse_narrow: fuse,
         ..EngineConfig::default()
     };
-    RunBuilder::from_build(build)
+    let run = RunBuilder::from_build(build)
         .config(cfg.clone())
-        .engine(ecfg)
-        .faults(plan)
-        .run()
-        .expect("valid configuration")
+        .engine(ecfg);
+    match plan {
+        Some(plan) => run.faults(plan),
+        None => run,
+    }
+    .run()
+    .expect("valid configuration")
 }
 
 /// Fused and unfused cluster runs agree on the results, the aggregate
@@ -155,7 +160,7 @@ fn run_cluster_once(
 fn assert_cluster_equivalent(
     build: &(dyn Fn() -> (Program, FnTable, DataRegistry) + Sync),
     cfg: &SystemConfig,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
     what: &str,
 ) -> RunSummary {
     let fused = run_cluster_once(build, cfg, plan, true);
@@ -201,7 +206,7 @@ fn fusion_is_invisible_on_the_cluster_path() {
                 assert_cluster_equivalent(
                     &build,
                     &cluster_config(executors, transport),
-                    &FaultPlan::none(),
+                    Some(&FaultPlan::none()),
                     &format!("{id}/E={executors}/{transport:?}"),
                 );
             }
@@ -217,7 +222,7 @@ fn fusion_is_invisible_across_a_checkpointed_crash() {
     };
     let mut cfg = cluster_config(2, ShuffleTransport::Serde);
     cfg.recovery = RecoveryPolicy::CheckpointEvery(1);
-    let clean = run_cluster_once(&build, &cfg, &FaultPlan::none(), true);
+    let clean = run_cluster_once(&build, &cfg, Some(&FaultPlan::none()), true);
     let span_ns = clean.report.elapsed_s * 1e9;
     // One crash at a seeded virtual time in the middle of the run: it
     // lands mid-stage, and replay restores shuffle outputs from NVM.
@@ -235,7 +240,8 @@ fn fusion_is_invisible_across_a_checkpointed_crash() {
         },
     );
     assert_eq!(plan.vcrashes.len(), 1);
-    let faulted = assert_cluster_equivalent(&build, &cfg, &plan, "pr/CheckpointEvery(1)/crash");
+    let faulted =
+        assert_cluster_equivalent(&build, &cfg, Some(&plan), "pr/CheckpointEvery(1)/crash");
     assert_eq!(faulted.report.recovery.executor_crashes, 1);
     assert!(faulted.report.recovery.partitions_restored > 0);
     assert_eq!(faulted.results, clean.results);
@@ -273,9 +279,152 @@ fn fusion_stops_at_checkpointed_narrow_rdds() {
         let run = assert_cluster_equivalent(
             &checkpointed_chain_program,
             &cluster_config(2, transport),
-            &FaultPlan::none(),
+            Some(&FaultPlan::none()),
             &format!("checkpointed-chain/{transport:?}"),
         );
         assert!(run.report.recovery.checkpoint_writes > 0);
     }
+}
+
+// ------------------------------------------------------- streamed map side
+
+/// Every shuffle shape whose map side can stream into its reduce side: a
+/// narrow chain into `reduceByKey` (integer and symbol keys), a union into
+/// `reduceByKey`, a persisted parent into `reduceByKey`, and narrow chains
+/// into `groupByKey`, `join`, `distinct` and `sortByKey`. The reduce is
+/// neither commutative nor associative, so a fold-order slip changes the
+/// results.
+fn shuffle_shapes_program() -> (Program, FnTable, DataRegistry) {
+    let mut b = ProgramBuilder::new("shuffle-shapes");
+    let fold = b.reduce_fn(|a, c| {
+        Payload::Long(
+            a.as_long()
+                .unwrap()
+                .wrapping_mul(31)
+                .wrapping_add(c.as_long().unwrap()),
+        )
+    });
+    let rekey = b.map_fn(|p| {
+        let (k, v) = p.as_pair().expect("(key, value)");
+        let (k, v) = (k.as_long().unwrap(), v.as_long().unwrap());
+        Payload::keyed(k % 13, Payload::Long(v * 3 + k))
+    });
+    let odd = b.filter_fn(|p| p.as_pair().unwrap().1.as_long().unwrap() % 2 != 0);
+    let to_sym = b.map_fn(|p| {
+        let (k, v) = p.as_pair().expect("(key, value)");
+        let sym = k.as_long().unwrap() as u64 % 7;
+        Payload::pair(Payload::Text { sym, len: 6 }, v.clone())
+    });
+    let small = b.map_fn(|v| Payload::Long(v.as_long().unwrap() % 5));
+
+    let chain = b.source("pairs").map(rekey).filter(odd).reduce_by_key(fold);
+    let chain = b.bind("chain_reduce", chain);
+    b.action(chain, ActionKind::Collect);
+    let left = b.source("pairs").map(rekey);
+    let union = left.union(b.source("more").filter(odd)).reduce_by_key(fold);
+    let union = b.bind("union_reduce", union);
+    b.action(union, ActionKind::Collect);
+    let sym = b.source("pairs").map(to_sym).reduce_by_key(fold);
+    let sym = b.bind("sym_reduce", sym);
+    b.action(sym, ActionKind::Collect);
+    let group = b.source("pairs").map(rekey).group_by_key();
+    let group = b.bind("group", group);
+    b.action(group, ActionKind::Collect);
+    let probe = b.source("more").map(rekey);
+    let join = b.source("pairs").map(rekey).filter(odd).join(probe);
+    let join = b.bind("join", join);
+    b.action(join, ActionKind::Collect);
+    let distinct = b.source("pairs").map_values(small).map(rekey).distinct();
+    let distinct = b.bind("distinct", distinct);
+    b.action(distinct, ActionKind::Collect);
+    let sort = b.source("pairs").map(rekey).sort_by_key();
+    let sort = b.bind("sort", sort);
+    b.action(sort, ActionKind::Collect);
+    let cached = b.source("pairs").map(rekey);
+    let cached = b.bind("cached", cached);
+    b.persist(cached, StorageLevel::MemoryOnly);
+    b.loop_n(2, |b| {
+        let reduced = b.var(cached).reduce_by_key(fold);
+        let reduced = b.bind("cached_reduce", reduced);
+        b.action(reduced, ActionKind::Collect);
+    });
+    let (program, fns) = b.finish();
+    let mut data = DataRegistry::new();
+    data.register(
+        "pairs",
+        shapes_input(600, 11)
+            .map(|(k, v)| Payload::keyed(k, Payload::Long(v)))
+            .collect(),
+    );
+    data.register(
+        "more",
+        shapes_input(240, 5)
+            .map(|(k, v)| Payload::keyed(k, Payload::Long(v)))
+            .collect(),
+    );
+    (program, fns, data)
+}
+
+/// The `(key, value)` records of a `shuffle_shapes_program` input.
+fn shapes_input(n: i64, mul: i64) -> impl Iterator<Item = (i64, i64)> {
+    (0..n).map(move |i| ((i * mul) % 97, i * 7 - 300))
+}
+
+/// The reduceByKey fold of `shuffle_shapes_program` in plain Rust: keys in
+/// first-appearance order, each a left fold from its first value.
+fn plain_fold(records: impl Iterator<Item = (i64, i64)>) -> ActionResult {
+    let mut order = Vec::new();
+    let mut acc = std::collections::HashMap::new();
+    for (k, v) in records {
+        match acc.get_mut(&k) {
+            Some(a) => *a = i64::wrapping_add(i64::wrapping_mul(*a, 31), v),
+            None => {
+                order.push(k);
+                acc.insert(k, v);
+            }
+        }
+    }
+    let out = order
+        .iter()
+        .map(|k| Payload::keyed(*k, Payload::Long(acc[k])));
+    ActionResult::Collected(out.collect())
+}
+
+#[test]
+fn streamed_shuffles_are_invisible_across_fusion_and_executors() {
+    let none = FaultPlan::none();
+    let mut results = Vec::new();
+    // E=1 without a fault plan is the single runtime: no peers, so every
+    // map side streams into its reduce side. The rest gather.
+    for (executors, transport, plan) in [
+        (1, ShuffleTransport::Serde, None),
+        (1, ShuffleTransport::Serde, Some(&none)),
+        (2, ShuffleTransport::Serde, Some(&none)),
+        (2, ShuffleTransport::SharedRegion, Some(&none)),
+    ] {
+        let run = assert_cluster_equivalent(
+            &shuffle_shapes_program,
+            &cluster_config(executors, transport),
+            plan,
+            &format!(
+                "shuffle-shapes/E={executors}/{transport:?}/cluster={}",
+                plan.is_some()
+            ),
+        );
+        assert_eq!(run.results.len(), 9);
+        results.push(run.results);
+    }
+    for (i, other) in results.iter().enumerate().skip(1) {
+        assert_eq!(&results[0], other, "single-runtime vs config {i} results");
+    }
+    // Checked against plain Rust, not only against the engine itself.
+    let rekey = |(k, v): (i64, i64)| (k % 13, v * 3 + k);
+    let chain = shapes_input(600, 11).map(rekey).filter(|(_, v)| v % 2 != 0);
+    assert_eq!(results[0][0].0, "chain_reduce");
+    assert_eq!(results[0][0].1, plain_fold(chain));
+    let union = shapes_input(600, 11)
+        .map(rekey)
+        .chain(shapes_input(240, 5).filter(|(_, v)| v % 2 != 0));
+    assert_eq!(results[0][1].0, "union_reduce");
+    assert_eq!(results[0][1].1, plain_fold(union));
 }
